@@ -5,6 +5,7 @@ from .allocation import (
     AuxiliaryMu,
     SolveResult,
     brute_force_oracle,
+    capacity_allocation,
     g_h,
     g_l,
     max_feasible_arrival,
@@ -65,9 +66,9 @@ __all__ = [
     "ConfigValidationError", "DelayStats", "ExperimentConfig", "KernelResult",
     "LinkGains", "MaxMinProblem", "OmaResult", "PowerAllocation",
     "QueueState", "QueueTrace", "ScenarioParams", "SolveResult", "SweepRow",
-    "approx_sinrs", "array_response", "brute_force_oracle", "classify_arrivals",
-    "default_config", "default_geometry", "direct_gain", "exact_sinrs",
-    "g_h", "g_l", "kkt_residual", "link_gains", "load_config",
+    "approx_sinrs", "array_response", "brute_force_oracle", "capacity_allocation",
+    "classify_arrivals", "default_config", "default_geometry", "direct_gain",
+    "exact_sinrs", "g_h", "g_l", "kkt_residual", "link_gains", "load_config",
     "max_feasible_arrival", "mean_delay", "noise_power", "objective_for_powers",
     "oma_max_feasible_arrival", "oma_optimize", "oma_rates", "optimal_mu",
     "rates", "read_rows", "ris_gain", "run_simulation", "run_sweep",

@@ -6,9 +6,9 @@ maximises the minimum weighted stability gap of the two queues over the four
 transmit powers.  The rate expressions make the problem non-convex; each
 outer iteration replaces the SINR ratios by their quadratic-transform
 surrogates at fixed auxiliary multipliers and solves the resulting convex
-program with the log-barrier kernel.  A simplex-grid brute-force search over
-the closed-form objective serves as an independent check, and a bisection on
-the arrival rate turns the allocator into a capacity probe.
+program with the log-barrier kernel; one such run on reweighted gaps finds
+the largest stabilisable arrival rate.  A simplex-grid brute-force search
+over the closed-form objective serves as an independent check.
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ def optimal_mu(
 
 
 def _objective_terms_np(p_h_d, p_h_r, p_l_d, p_l_r, w_d, w_r, noise_w, serv,
-                        q_d, q_r, alpha, arrival):
-    """Vectorised closed-form rates, gaps and weighted-min objective."""
+                        q_d, q_r, alpha, arrival, w_h, w_l):
+    """Vectorised closed-form rates, gaps and min(w_h gap_h, w_l gap_l)."""
     sinr_h1 = (w_d * p_h_d + w_r * p_h_r) / (w_d * p_l_d + w_r * p_l_r + noise_w)
     sinr_h0 = (w_r * p_h_r) / (w_r * p_l_r + noise_w)
     sinr_h = np.minimum(sinr_h0, sinr_h1)
@@ -159,12 +159,12 @@ def _objective_terms_np(p_h_d, p_h_r, p_l_d, p_l_r, w_d, w_r, noise_w, serv,
     se_l = np.log2(1.0 + sinr_l)
     gap_h = (1.0 - q_r) * serv * se_h - alpha * arrival
     gap_l = (1.0 - q_d) * serv * se_l - (1.0 - alpha) * arrival
-    if alpha <= 0.0:
-        obj = (1.0 - alpha) * gap_l
-    elif alpha >= 1.0:
-        obj = alpha * gap_h
+    if w_h <= 0.0:
+        obj = w_l * gap_l
+    elif w_l <= 0.0:
+        obj = w_h * gap_h
     else:
-        obj = np.minimum(alpha * gap_h, (1.0 - alpha) * gap_l)
+        obj = np.minimum(w_h * gap_h, w_l * gap_l)
     return se_h, se_l, gap_h, gap_l, obj
 
 
@@ -173,6 +173,7 @@ def objective_for_powers(
     scenario: ScenarioParams,
     alpha: float | None = None,
     arrival: float | None = None,
+    weights: tuple[float, float] | None = None,
 ) -> tuple[float, float, float, float, float]:
     """
     Closed-form evaluation of rates, stability gaps, and the objective.
@@ -180,15 +181,16 @@ def objective_for_powers(
     The HC rate is capped by the worse of the two direct-route availability
     cases (the stream must stay decodable when that route is down); the LC
     rate assumes both routes up since it is only delivered then.
-    Returns (rate_h, rate_l, gap_h, gap_l, objective) with rates in bit/s
-    and gaps in packets/slot.
+    Returns (rate_h, rate_l, gap_h, gap_l, min(w_h gap_h, w_l gap_l)) with
+    rates in bit/s, gaps in packets/slot, weights (alpha, 1 - alpha) by default.
     """
     alpha = scenario.alpha if alpha is None else alpha
     arrival = scenario.arrival_rate if arrival is None else arrival
+    w_h, w_l = (alpha, 1.0 - alpha) if weights is None else weights
     w_d, w_r, noise_w, serv = _coeffs(scenario)
     se_h, se_l, gap_h, gap_l, obj = _objective_terms_np(
-        p.p_h_d, p.p_h_r, p.p_l_d, p.p_l_r,
-        w_d, w_r, noise_w, serv, scenario.q_d, scenario.q_r, alpha, arrival,
+        p.p_h_d, p.p_h_r, p.p_l_d, p.p_l_r, w_d, w_r, noise_w, serv,
+        scenario.q_d, scenario.q_r, alpha, arrival, w_h, w_l,
     )
     return (
         float(se_h) * scenario.bandwidth,
@@ -226,8 +228,8 @@ def _build_subproblem(
     p: PowerAllocation,
     mu: AuxiliaryMu,
     scenario: ScenarioParams,
-    alpha: float,
-    arrival: float,
+    weights: tuple[float, float],
+    offsets: tuple[float, float],
     w_d: float,
     w_r: float,
     noise_w: float,
@@ -237,7 +239,8 @@ def _build_subproblem(
     """
     Convex inner problem over scaled variables
     x = [u_hd, u_hr, u_ld, u_lr, r_h, r_l, gamma_h, gamma_l]
-    with u = power / p_max and r = rate / bandwidth.
+    with u = power / p_max and r = rate / bandwidth.  Objective terms are
+    w (1 - q) serv r + offset per stream; a zero weight drops its term.
     """
     p_max = scenario.p_max
     q_d, q_r = scenario.q_d, scenario.q_r
@@ -256,12 +259,11 @@ def _build_subproblem(
         term.value_only = lambda x: slope * x[r_idx] + offset
         return term
 
-    if alpha > 0.0:
-        terms.append(make_term(4, alpha * (1.0 - q_r) * serv,
-                               -alpha * alpha * arrival))
-    if alpha < 1.0:
-        terms.append(make_term(5, (1.0 - alpha) * (1.0 - q_d) * serv,
-                               -(1.0 - alpha) ** 2 * arrival))
+    w_h, w_l = weights
+    if w_h > 0.0:
+        terms.append(make_term(4, w_h * (1.0 - q_r) * serv, offsets[0]))
+    if w_l > 0.0:
+        terms.append(make_term(5, w_l * (1.0 - q_d) * serv, offsets[1]))
 
     def make_rate_cap(r_idx: int, g_idx: int):
         def cap(x):
@@ -365,29 +367,60 @@ def sca_power_allocation(
     max_iters: int = 100,
     stop_when_nonneg: bool = False,
     alt_hc_surrogate: bool = False,
-    initial_power: PowerAllocation | None = None,
     barrier_settings: BarrierSettings | None = None,
 ) -> SolveResult:
     """
-    Iterative allocator: alternate the multiplier update with the convex
-    inner solve from an equal power split until the objective settles.
+    Iterative allocator for min(alpha gap_h, (1 - alpha) gap_l): alternate
+    the multiplier update with the convex inner solve from an equal power
+    split until the objective settles.
 
     The reported objective sequence is the true closed-form objective at the
     accepted iterates and is nondecreasing up to solver noise; an iterate
     that fails to improve is rejected and iteration stops.  With
     ``stop_when_nonneg`` the loop exits as soon as the objective reaches
-    zero, which is all a feasibility probe needs.  ``initial_power``
-    replaces the equal-split start; the arrival-rate bisection uses it to
-    warm-start successive probes.
+    zero, which is all a feasibility test needs.
     """
     alpha = scenario.alpha if alpha is None else alpha
     arrival = scenario.arrival_rate if arrival is None else arrival
+    return _sca(scenario, alpha, arrival, (alpha, 1.0 - alpha),
+                (-alpha * alpha * arrival, -(1.0 - alpha) ** 2 * arrival),
+                rel_tol=rel_tol, max_iters=max_iters, stop_when_nonneg=stop_when_nonneg,
+                alt_hc_surrogate=alt_hc_surrogate, barrier_settings=barrier_settings)
+
+
+def capacity_allocation(
+    scenario: ScenarioParams,
+    alpha: float | None = None,
+    *,
+    alt_hc_surrogate: bool = False,
+) -> SolveResult:
+    """
+    Largest stabilisable arrival rate a* and the allocation attaining it.
+
+    A is stabilisable exactly when both gaps are nonnegative at some power
+    split, so a* = max over powers of min((1 - q_r) serv se_h / alpha,
+    (1 - q_d) serv se_l / (1 - alpha)): the gap objective weighted by
+    (1/alpha, 1/(1 - alpha)) at zero arrivals, found by one SCA run.  At
+    alpha = 0 or 1 the absent stream's term is dropped.  The objective is
+    a*; the gaps are those at a*, zero up to solver tolerance.
+    """
+    alpha = scenario.alpha if alpha is None else alpha
+    weights = (1.0 / alpha if alpha > 0.0 else 0.0,
+               1.0 / (1.0 - alpha) if alpha < 1.0 else 0.0)
+    res = _sca(scenario, alpha, 0.0, weights, (0.0, 0.0), alt_hc_surrogate=alt_hc_surrogate)
+    res.gap_h, res.gap_l = objective_for_powers(res.power, scenario, alpha, res.objective)[2:4]
+    return res
+
+
+def _sca(scenario, alpha, arrival, weights, offsets, *, rel_tol=1e-6, max_iters=100,
+         stop_when_nonneg=False, alt_hc_surrogate=False, barrier_settings=None):
+    """SCA loop for min(w_h gap_h, w_l gap_l) at ``arrival``; offsets: negated weighted demands."""
     gains = link_gains(scenario)
     w_d, w_r, noise_w, serv = _coeffs(scenario, gains)
 
     quarter = scenario.p_max / 4.0
-    p = initial_power or PowerAllocation(quarter, quarter, quarter, quarter)
-    obj = objective_for_powers(p, scenario, alpha, arrival)[4]
+    p = PowerAllocation(quarter, quarter, quarter, quarter)
+    obj = objective_for_powers(p, scenario, alpha, arrival, weights)[4]
     history = [obj]
     converged = False
     iterations = 0
@@ -399,7 +432,7 @@ def sca_power_allocation(
         p_mu = PowerAllocation(*np.maximum(p.as_array(), floor))
         mu = optimal_mu(p_mu, gains, scenario.n_b, scenario.n_r, alt_hc_surrogate)
         problem = _build_subproblem(
-            p, mu, scenario, alpha, arrival,
+            p, mu, scenario, weights, offsets,
             w_d, w_r, noise_w, serv, alt_hc_surrogate,
         )
         result = solve_maxmin(problem, barrier_settings)
@@ -410,7 +443,7 @@ def sca_power_allocation(
             )
         iterations += 1
         p_new = PowerAllocation(*(np.clip(result.x[:4], 0.0, None) * scenario.p_max))
-        obj_new = objective_for_powers(p_new, scenario, alpha, arrival)[4]
+        obj_new = objective_for_powers(p_new, scenario, alpha, arrival, weights)[4]
         if obj_new < obj - 1e-9 * max(1.0, abs(obj)):
             converged = True  # no further progress available from this surrogate
             break
@@ -422,7 +455,7 @@ def sca_power_allocation(
             break
         obj = obj_new
 
-    rate_h, rate_l, gap_h, gap_l, obj = objective_for_powers(p, scenario, alpha, arrival)
+    rate_h, rate_l, gap_h, gap_l, obj = objective_for_powers(p, scenario, alpha, arrival, weights)
     sinr_h, sinr_l = _realized_sinrs(p, w_d, w_r, noise_w)
     return SolveResult(
         power=p,
@@ -480,7 +513,7 @@ def brute_force_oracle(
         p_l_r = m[sel] * step
         *_, obj = _objective_terms_np(
             i * step, p_h_r, p_l_d, p_l_r,
-            w_d, w_r, noise_w, serv, q_d, q_r, alpha, arrival,
+            w_d, w_r, noise_w, serv, q_d, q_r, alpha, arrival, alpha, 1.0 - alpha,
         )
         t = int(np.argmax(obj))
         if obj[t] > best_obj:
@@ -493,39 +526,7 @@ def max_feasible_arrival(
     scenario: ScenarioParams,
     alpha: float | None = None,
     *,
-    rel_tol: float = 1e-4,
     alt_hc_surrogate: bool = False,
 ) -> float:
-    """
-    Largest arrival rate the allocator can stabilise at the given mix.
-
-    Bisection on the arrival rate with the allocator's sign as the
-    feasibility test; the bracket upper end is twice the single-stream
-    full-power service rate, which no split allocation can reach.
-    """
-    alpha = scenario.alpha if alpha is None else alpha
-    w_d, _, noise_w, serv = _coeffs(scenario)
-    snr_max = w_d * scenario.p_max / noise_w
-    hi = 2.0 * serv * math.log2(1.0 + snr_max)
-    lo = 0.0
-    warm: list[PowerAllocation | None] = [None]
-
-    def feasible(a: float) -> bool:
-        res = sca_power_allocation(
-            scenario, alpha, a,
-            stop_when_nonneg=True,
-            alt_hc_surrogate=alt_hc_surrogate,
-            initial_power=warm[0],
-        )
-        warm[0] = res.power
-        return res.objective >= 0.0
-
-    if feasible(hi):  # pragma: no cover - bracket is generous by construction
-        return hi
-    while hi - lo > rel_tol * max(lo, 1.0):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """Largest arrival rate the allocator can stabilise: capacity_allocation's a*."""
+    return capacity_allocation(scenario, alpha, alt_hc_surrogate=alt_hc_surrogate).objective

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
-from .allocation import max_feasible_arrival, sca_power_allocation
+from .allocation import capacity_allocation, sca_power_allocation
+from .allocation import max_feasible_arrival  # noqa: F401  (bench/spans.py rebinds it here)
 from .link import ScenarioParams
 from .oma import oma_max_feasible_arrival, oma_optimize
 from .queuesim import mean_delay, run_simulation
@@ -68,6 +70,8 @@ class ExperimentConfig:
             raise ConfigValidationError("sweep grid must be nonempty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigValidationError("sweep grid must be strictly increasing")
+        if self.axis == "n_ris" and not all(float(v).is_integer() for v in self.grid):
+            raise ConfigValidationError("n_ris grid values must be integers")
         if self.metrics in ("delay", "both") and self.horizon < 1000:
             raise ConfigValidationError("horizon must be >= 1000 for delay experiments")
         if self.horizon < 1:
@@ -124,11 +128,16 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise ConfigValidationError(f"{key}: expected a boolean, got {raw!r}")
 
 
-def _parse_number(key: str, raw: str) -> float:
+def _parse_number(key: str, raw: str, integer: bool = False) -> float | int:
+    """A finite number, or with ``integer`` an integral one, as an int."""
     try:
-        return float(raw)
+        num = float(raw)
     except ValueError as exc:
         raise ConfigValidationError(f"{key}: expected a number, got {raw!r}") from exc
+    if not math.isfinite(num) or (integer and not num.is_integer()):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigValidationError(f"{key}: expected {kind}, got {raw!r}")
+    return int(num) if integer else num
 
 
 def default_config() -> ExperimentConfig:
@@ -173,21 +182,15 @@ def load_config(path: str) -> ExperimentConfig:
     experiment_kwargs = {}
     for key, value in raw.items():
         if key in scenario_fields:
-            if key in _SCENARIO_INTS:
-                scenario_kwargs[key] = int(_parse_number(key, value))
-            else:
-                num = _parse_number(key, value)
-                conv = _SCENARIO_CONVERSIONS.get(key)
-                scenario_kwargs[key] = conv(num) if conv else num
+            num = _parse_number(key, value, integer=key in _SCENARIO_INTS)
+            conv = _SCENARIO_CONVERSIONS.get(key)
+            scenario_kwargs[key] = conv(num) if conv else num
         elif key == "grid":
-            try:
-                experiment_kwargs["grid"] = tuple(float(v) for v in value.split(","))
-            except ValueError as exc:
-                raise ConfigValidationError("grid: expected comma separated numbers") from exc
+            experiment_kwargs["grid"] = tuple(_parse_number(key, v) for v in value.split(","))
         elif key in _EXPERIMENT_STRS:
             experiment_kwargs[key] = value
         elif key in _EXPERIMENT_INTS:
-            experiment_kwargs[key] = int(_parse_number(key, value))
+            experiment_kwargs[key] = _parse_number(key, value, integer=True)
         elif key in _EXPERIMENT_BOOLS:
             experiment_kwargs[key] = _parse_bool(key, value)
         else:
@@ -249,13 +252,8 @@ def _capacity_point(
 ) -> tuple[float, float, float, int]:
     """(se_h, se_l, a_star, iterations) at the feasibility boundary."""
     if scheme == "mcsc":
-        a_star = max_feasible_arrival(
-            scenario, alpha, alt_hc_surrogate=alt_hc_surrogate
-        )
-        res = sca_power_allocation(
-            scenario, alpha, a_star, alt_hc_surrogate=alt_hc_surrogate
-        )
-        rate_h, rate_l, iters = res.rate_h, res.rate_l, res.iterations
+        res = capacity_allocation(scenario, alpha, alt_hc_surrogate=alt_hc_surrogate)
+        a_star, rate_h, rate_l, iters = res.objective, res.rate_h, res.rate_l, res.iterations
     elif scheme == "oma":
         a_star = oma_max_feasible_arrival(scenario, alpha, lc_ris_assist=oma_lc_ris)
         res = oma_optimize(scenario, alpha, a_star, lc_ris_assist=oma_lc_ris)

@@ -152,25 +152,25 @@ class ScenarioParams:
     def __post_init__(self):
         for name in ("f", "bandwidth", "p_max", "noise_psd", "g_b", "g_u",
                      "d_bu", "d_br", "d_ru", "packet_size", "slot_duration"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.n_b < 1 or self.n_r < 1:
-            raise ValueError("antenna/element counts must be >= 1")
-        if self.k_a < 0.0:
-            raise ValueError("k_a must be nonnegative")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not all(float(n).is_integer() and n >= 1 for n in (self.n_b, self.n_r)):
+            raise ValueError("antenna/element counts must be integers >= 1")
+        if not 0.0 <= self.k_a < math.inf:
+            raise ValueError("k_a must be nonnegative and finite")
         if not (0.0 <= self.q_r <= self.q_d <= 1.0):
             raise ValueError("blockage probabilities need 0 <= q_r <= q_d <= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.arrival_rate < 0.0:
-            raise ValueError("arrival_rate must be nonnegative")
+        if not 0.0 <= self.arrival_rate < math.inf:
+            raise ValueError("arrival_rate must be nonnegative and finite")
         half_wl = SPEED_OF_LIGHT / (2.0 * self.f)
         if self.l_x is None:
             object.__setattr__(self, "l_x", half_wl)
         if self.l_y is None:
             object.__setattr__(self, "l_y", half_wl)
-        if self.l_x <= 0.0 or self.l_y <= 0.0:
-            raise ValueError("element dimensions must be positive")
+        if not (0.0 < self.l_x < math.inf and 0.0 < self.l_y < math.inf):
+            raise ValueError("element dimensions must be positive and finite")
         angles = (self.phi_bu, self.phi_br, self.phi_rb, self.phi_ru)
         if any(a is None for a in angles):
             if any(a is not None for a in angles):

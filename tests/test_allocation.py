@@ -12,6 +12,7 @@ from duallink import (
     ScenarioParams,
     approx_sinrs,
     brute_force_oracle,
+    capacity_allocation,
     g_h,
     g_l,
     link_gains,
@@ -248,3 +249,30 @@ def test_max_feasible_arrival_peaks_at_zero_mix(scenario):
     a0 = max_feasible_arrival(scenario, 0.0)
     for alpha in (0.05, 0.15):
         assert max_feasible_arrival(scenario, alpha) <= a0 + 1e-6 * a0
+
+
+def test_max_feasible_arrival_lc_only_tight(scenario):
+    a_star = max_feasible_arrival(scenario, 0.0)
+    assert a_star == pytest.approx(ARRIVAL_STAR_LC_ONLY, rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.15, 0.3, 1.0])
+def test_capacity_is_tight_for_gap_allocator(scenario, alpha):
+    # Judged by the gap-form allocator, which the capacity run does not use:
+    # just below a* both queues can be stabilised, just above they cannot.
+    a_star = capacity_allocation(scenario, alpha).objective
+    below = sca_power_allocation(scenario, alpha, a_star * (1.0 - 1e-5))
+    above = sca_power_allocation(scenario, alpha, a_star * (1.0 + 1e-3))
+    assert below.objective >= 0.0
+    assert above.objective < 0.0
+
+
+def test_capacity_allocation_balances_gaps_at_a_star(scenario):
+    res = capacity_allocation(scenario, 0.1)
+    assert res.converged
+    assert res.objective == max_feasible_arrival(scenario, 0.1)
+    rate_h, rate_l, gap_h, gap_l, _ = objective_for_powers(
+        res.power, scenario, 0.1, res.objective
+    )
+    assert (res.rate_h, res.rate_l, res.gap_h, res.gap_l) == (rate_h, rate_l, gap_h, gap_l)
+    assert max(abs(gap_h), abs(gap_l)) <= 1e-6 * res.objective

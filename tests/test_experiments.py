@@ -90,6 +90,28 @@ def test_grid_must_increase(tmp_path):
         load_config(write(tmp_path, "bad.cfg", "grid = 0.2, 0.1\n"))
 
 
+@pytest.mark.parametrize("text", [
+    "p_max = nan\n",
+    "arrival_rate = inf\n",
+    "grid = 0.0, nan\n",
+    "n_b = 64.7\n",
+    "n_r = 100.5\n",
+    "seed = 1.5\n",
+    "horizon = 2000.9\n",
+    "workers = 1.5\n",
+    "axis = n_ris\ngrid = 100, 150.5\n",
+])
+def test_non_finite_and_fractional_values_rejected(tmp_path, text):
+    with pytest.raises(ConfigValidationError):
+        load_config(write(tmp_path, "bad.cfg", text))
+
+
+def test_integral_floats_accepted_for_integer_keys(tmp_path):
+    cfg = load_config(write(tmp_path, "ok.cfg", "n_b = 32.0\nseed = 7\n"))
+    assert (cfg.scenario.n_b, cfg.seed) == (32, 7)
+    assert isinstance(cfg.scenario.n_b, int)
+
+
 def test_delay_horizon_floor(tmp_path):
     with pytest.raises(ConfigValidationError):
         load_config(write(tmp_path, "bad.cfg", "metrics = delay\nhorizon = 10\n"))
@@ -159,6 +181,22 @@ def test_sweep_rows_and_invariants(tmp_path):
     for v, r in mcsc.items():
         other = next(x for x in rows if x.scheme == "oma" and x.sweep_value == v)
         assert r.se_sum >= other.se_sum - 1e-6
+
+
+def test_sweep_a_star_matches_delivered_rate(tmp_path):
+    # At the max-min optimum both weighted gaps vanish, so the delivered SE
+    # converts back to exactly a* packets per slot.
+    out = str(tmp_path / "s.csv")
+    cfg = load_config(write(
+        tmp_path, "exp.cfg", f"scheme = mcsc\nmetrics = se\nout = {out}\n",
+    ))
+    run_sweep(cfg)
+    sc = cfg.scenario
+    rows = [r for r in read_rows(out) if r.status == "ok" and 0.0 < r.sweep_value < 1.0]
+    assert len(rows) == len(cfg.grid) - 1
+    for r in rows:
+        delivered = r.se_sum * sc.slot_duration * sc.bandwidth / sc.packet_size
+        assert delivered == pytest.approx(r.a_star, rel=1e-6)
 
 
 def test_sweep_csv_roundtrip_and_determinism(tmp_path):

@@ -279,6 +279,16 @@ def test_scenario_validation():
         ScenarioParams(alpha=1.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("p_max", math.nan), ("bandwidth", math.inf), ("arrival_rate", math.nan),
+    ("arrival_rate", math.inf), ("k_a", math.nan), ("l_x", math.nan),
+    ("q_d", math.nan), ("alpha", math.nan), ("n_b", 64.7), ("n_r", math.nan),
+])
+def test_scenario_rejects_nan_inf_and_fractional_counts(field, value):
+    with pytest.raises(ValueError):
+        ScenarioParams(**{field: value})
+
+
 def test_default_element_size_is_half_wavelength(scenario):
     assert scenario.l_x == pytest.approx(scenario.wavelength / 2.0, rel=1e-12)
     assert scenario.l_y == scenario.l_x
