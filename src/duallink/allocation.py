@@ -14,11 +14,20 @@ over the closed-form objective serves as an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .link import LinkGains, PowerAllocation, ScenarioParams, link_gains
+from .link import (
+    LinkGains,
+    PowerAllocation,
+    ScenarioParams,
+    decoding_forms,
+    decoding_sinrs,
+    link_gains,
+    ratio_parts,
+    route_coefficients,
+)
 from .maxmin import (
     STATUS_INFEASIBLE_START,
     BarrierSettings,
@@ -62,8 +71,7 @@ class SolveResult:
 def _coeffs(scenario: ScenarioParams, gains: LinkGains | None = None):
     """Per-watt SNR coefficients of both beams, noise power, service factor."""
     g = gains or link_gains(scenario)
-    w_d = scenario.n_b * g.eta_d**2
-    w_r = scenario.n_b * scenario.n_r * g.eta_r**2
+    w_d, w_r = route_coefficients(g, scenario.n_b, scenario.n_r)
     serv = scenario.slot_duration * scenario.bandwidth / scenario.packet_size
     return w_d, w_r, g.noise_w, serv
 
@@ -80,6 +88,11 @@ def weighted_min_gap(alpha: float, gap_h: float, gap_l: float) -> float:
     if alpha >= 1.0:
         return alpha * gap_h
     return min(alpha * gap_h, (1.0 - alpha) * gap_l)
+
+
+def _surrogate(gamma: float, mu: float, signal: float, interference: float) -> float:
+    """Quadratic-transform surrogate gamma - 2 mu sqrt(signal) + mu^2 interference."""
+    return gamma - 2.0 * mu * math.sqrt(max(signal, _SQRT_FLOOR)) + mu * mu * interference
 
 
 def g_h(
@@ -100,12 +113,8 @@ def g_h(
     ``alt_hc_surrogate`` switches the direct-beam terms to the reflected
     coefficient, an alternate pairing kept only for comparison.
     """
-    w_d = n_b * gains.eta_d**2
-    w_r = n_b * n_r * gains.eta_r**2
-    w_direct = w_r if alt_hc_surrogate else w_d
-    sig = beta_d * w_direct * p.p_h_d + w_r * p.p_h_r
-    interf = beta_d * w_direct * p.p_l_d + w_r * p.p_l_r + gains.noise_w
-    return gamma_h - 2.0 * mu * math.sqrt(max(sig, _SQRT_FLOOR)) + mu * mu * interf
+    form = decoding_forms(*route_coefficients(gains, n_b, n_r), alt_hc_surrogate)[beta_d]
+    return _surrogate(gamma_h, mu, *ratio_parts(form, astuple(p), gains.noise_w))
 
 
 def g_l(
@@ -117,10 +126,8 @@ def g_l(
     n_r: int,
 ) -> float:
     """LC surrogate constraint value; evaluated with both routes available."""
-    w_d = n_b * gains.eta_d**2
-    w_r = n_b * n_r * gains.eta_r**2
-    sig = w_d * p.p_l_d + w_r * p.p_l_r
-    return gamma_l - 2.0 * mu * math.sqrt(max(sig, _SQRT_FLOOR)) + mu * mu * gains.noise_w
+    form = decoding_forms(*route_coefficients(gains, n_b, n_r))[2]
+    return _surrogate(gamma_l, mu, *ratio_parts(form, astuple(p), gains.noise_w))
 
 
 def optimal_mu(
@@ -131,30 +138,15 @@ def optimal_mu(
     alt_hc_surrogate: bool = False,
 ) -> AuxiliaryMu:
     """Stationary multipliers sqrt(signal)/(interference + noise) per ratio."""
-    w_d = n_b * gains.eta_d**2
-    w_r = n_b * n_r * gains.eta_r**2
-    w_direct = w_r if alt_hc_surrogate else w_d
-
-    def mu_h(beta_d: int) -> float:
-        sig = beta_d * w_direct * p.p_h_d + w_r * p.p_h_r
-        interf = beta_d * w_direct * p.p_l_d + w_r * p.p_l_r + gains.noise_w
-        return math.sqrt(sig) / interf
-
-    sig_l = w_d * p.p_l_d + w_r * p.p_l_r
-    return AuxiliaryMu(
-        mu_h0=mu_h(0),
-        mu_h1=mu_h(1),
-        mu_l=math.sqrt(sig_l) / gains.noise_w,
-    )
+    forms = decoding_forms(*route_coefficients(gains, n_b, n_r), alt_hc_surrogate)
+    parts = (ratio_parts(f, astuple(p), gains.noise_w) for f in forms)
+    return AuxiliaryMu(*(math.sqrt(sig) / interf for sig, interf in parts))
 
 
-def _objective_terms_np(p_h_d, p_h_r, p_l_d, p_l_r, w_d, w_r, noise_w, serv,
-                        q_d, q_r, alpha, arrival, w_h, w_l):
-    """Vectorised closed-form rates, gaps and min(w_h gap_h, w_l gap_l)."""
-    sinr_h1 = (w_d * p_h_d + w_r * p_h_r) / (w_d * p_l_d + w_r * p_l_r + noise_w)
-    sinr_h0 = (w_r * p_h_r) / (w_r * p_l_r + noise_w)
+def _objective_terms_np(p, forms, noise_w, serv, q_d, q_r, alpha, arrival, w_h, w_l):
+    """Vectorised closed-form rates, gaps and min(w_h gap_h, w_l gap_l) at powers p."""
+    sinr_h0, sinr_h1, sinr_l = decoding_sinrs(forms, p, noise_w)
     sinr_h = np.minimum(sinr_h0, sinr_h1)
-    sinr_l = (w_d * p_l_d + w_r * p_l_r) / noise_w
     se_h = np.log2(1.0 + sinr_h)
     se_l = np.log2(1.0 + sinr_l)
     gap_h = (1.0 - q_r) * serv * se_h - alpha * arrival
@@ -189,7 +181,7 @@ def objective_for_powers(
     w_h, w_l = (alpha, 1.0 - alpha) if weights is None else weights
     w_d, w_r, noise_w, serv = _coeffs(scenario)
     se_h, se_l, gap_h, gap_l, obj = _objective_terms_np(
-        p.p_h_d, p.p_h_r, p.p_l_d, p.p_l_r, w_d, w_r, noise_w, serv,
+        astuple(p), decoding_forms(w_d, w_r), noise_w, serv,
         scenario.q_d, scenario.q_r, alpha, arrival, w_h, w_l,
     )
     return (
@@ -217,35 +209,26 @@ def _sparse_linear(pairs, offset: float = 0.0, floor: float | None = None):
     return lambda x: max(c0 * x[i0] + c1 * x[i1] + offset, floor)
 
 
-def _realized_sinrs(p: PowerAllocation, w_d, w_r, noise_w) -> tuple[float, float]:
-    sinr_h1 = (w_d * p.p_h_d + w_r * p.p_h_r) / (w_d * p.p_l_d + w_r * p.p_l_r + noise_w)
-    sinr_h0 = (w_r * p.p_h_r) / (w_r * p.p_l_r + noise_w)
-    sinr_l = (w_d * p.p_l_d + w_r * p.p_l_r) / noise_w
-    return min(sinr_h0, sinr_h1), sinr_l
-
-
 def _build_subproblem(
     p: PowerAllocation,
     mu: AuxiliaryMu,
     scenario: ScenarioParams,
     weights: tuple[float, float],
     offsets: tuple[float, float],
-    w_d: float,
-    w_r: float,
+    forms,
     noise_w: float,
     serv: float,
-    alt_hc_surrogate: bool,
 ) -> MaxMinProblem:
     """
     Convex inner problem over scaled variables
     x = [u_hd, u_hr, u_ld, u_lr, r_h, r_l, gamma_h, gamma_l]
     with u = power / p_max and r = rate / bandwidth.  Objective terms are
     w (1 - q) serv r + offset per stream; a zero weight drops its term.
+    ``forms`` are the decoding forms (HC direct down, HC direct up, LC).
     """
     p_max = scenario.p_max
     q_d, q_r = scenario.q_d, scenario.q_r
     ln2 = math.log(2.0)
-    w_direct = w_r if alt_hc_surrogate else w_d
 
     terms = []
 
@@ -317,22 +300,6 @@ def _build_subproblem(
 
     budget.value_only = lambda x: x[0] + x[1] + x[2] + x[3] - 1.0
 
-    # Signal / interference coefficients (watts per unit u), sparse pairs.
-    a_h0 = ((1, w_r * p_max),)
-    b_h0 = ((3, w_r * p_max),)
-    a_h1 = ((0, w_direct * p_max), (1, w_r * p_max))
-    b_h1 = ((2, w_direct * p_max), (3, w_r * p_max))
-    a_l = ((2, w_d * p_max), (3, w_r * p_max))
-
-    constraints = [
-        make_rate_cap(4, 6),
-        make_rate_cap(5, 7),
-        make_surrogate(6, mu.mu_h0, a_h0, b_h0, noise_w),
-        make_surrogate(6, mu.mu_h1, a_h1, b_h1, noise_w),
-        make_surrogate(7, mu.mu_l, a_l, (), noise_w),
-        budget,
-    ]
-
     # A strictly feasible start: powers pulled inside the simplex, SINR
     # targets halfway to their surrogate caps, rates halfway to capacity.
     u0 = np.maximum(p.as_array() / p_max, 1e-10) * 0.995
@@ -342,14 +309,20 @@ def _build_subproblem(
     x0 = np.zeros(8)
     x0[:4] = u0
 
-    def cap_of(mu_val, a_pairs, b_pairs, b_off):
-        a_val = max(sum(c * x0[i] for i, c in a_pairs), _SQRT_FLOOR)
-        lin = sum(c * x0[i] for i, c in b_pairs)
-        return 2.0 * mu_val * math.sqrt(a_val) - mu_val**2 * (lin + b_off)
+    # The decoding forms in watts per unit u, zero coefficients dropped.
+    def scaled(pairs):
+        return tuple((i, c * p_max) for i, c in pairs if c != 0.0)
 
-    gam_h0 = 0.5 * min(cap_of(mu.mu_h0, a_h0, b_h0, noise_w),
-                       cap_of(mu.mu_h1, a_h1, b_h1, noise_w))
-    gam_l0 = 0.5 * cap_of(mu.mu_l, a_l, (), noise_w)
+    constraints = [make_rate_cap(4, 6), make_rate_cap(5, 7)]
+    caps = []  # largest SINR target each surrogate admits at x0
+    for g_idx, mu_val, (sig, interf) in zip((6, 6, 7), (mu.mu_h0, mu.mu_h1, mu.mu_l), forms):
+        form = scaled(sig), scaled(interf)
+        constraints.append(make_surrogate(g_idx, mu_val, *form, noise_w))
+        caps.append(-_surrogate(0.0, mu_val, *ratio_parts(form, x0, noise_w)))
+    constraints.append(budget)
+
+    gam_h0 = 0.5 * min(caps[0], caps[1])
+    gam_l0 = 0.5 * caps[2]
     x0[6] = max(gam_h0, 1e-14)
     x0[7] = max(gam_l0, 1e-14)
     x0[4] = 0.5 * math.log2(1.0 + x0[6])
@@ -417,6 +390,7 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, rel_tol=1e-6, max_iters=
     """SCA loop for min(w_h gap_h, w_l gap_l) at ``arrival``; offsets: negated weighted demands."""
     gains = link_gains(scenario)
     w_d, w_r, noise_w, serv = _coeffs(scenario, gains)
+    forms = decoding_forms(w_d, w_r, alt_hc_surrogate)
 
     quarter = scenario.p_max / 4.0
     p = PowerAllocation(quarter, quarter, quarter, quarter)
@@ -431,10 +405,7 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, rel_tol=1e-6, max_iters=
         floor = _MU_POWER_FLOOR * scenario.p_max
         p_mu = PowerAllocation(*np.maximum(p.as_array(), floor))
         mu = optimal_mu(p_mu, gains, scenario.n_b, scenario.n_r, alt_hc_surrogate)
-        problem = _build_subproblem(
-            p, mu, scenario, weights, offsets,
-            w_d, w_r, noise_w, serv, alt_hc_surrogate,
-        )
+        problem = _build_subproblem(p, mu, scenario, weights, offsets, forms, noise_w, serv)
         result = solve_maxmin(problem, barrier_settings)
         if result.status == STATUS_INFEASIBLE_START:
             raise RuntimeError(
@@ -456,14 +427,14 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, rel_tol=1e-6, max_iters=
         obj = obj_new
 
     rate_h, rate_l, gap_h, gap_l, obj = objective_for_powers(p, scenario, alpha, arrival, weights)
-    sinr_h, sinr_l = _realized_sinrs(p, w_d, w_r, noise_w)
+    sinr_h0, sinr_h1, sinr_l = decoding_sinrs(decoding_forms(w_d, w_r), astuple(p), noise_w)
     return SolveResult(
         power=p,
         rate_h=rate_h,
         rate_l=rate_l,
         gap_h=gap_h,
         gap_l=gap_l,
-        sinr_h=sinr_h,
+        sinr_h=min(sinr_h0, sinr_h1),
         sinr_l=sinr_l,
         objective=obj,
         iterations=iterations,
@@ -491,7 +462,7 @@ def brute_force_oracle(
     alpha = scenario.alpha if alpha is None else alpha
     arrival = scenario.arrival_rate if arrival is None else arrival
     w_d, w_r, noise_w, serv = _coeffs(scenario)
-    q_d, q_r = scenario.q_d, scenario.q_r
+    forms = decoding_forms(w_d, w_r)
     step = scenario.p_max / (grid_n - 1)
 
     idx = np.arange(grid_n)
@@ -512,8 +483,8 @@ def brute_force_oracle(
         p_l_d = k[sel] * step
         p_l_r = m[sel] * step
         *_, obj = _objective_terms_np(
-            i * step, p_h_r, p_l_d, p_l_r,
-            w_d, w_r, noise_w, serv, q_d, q_r, alpha, arrival, alpha, 1.0 - alpha,
+            (i * step, p_h_r, p_l_d, p_l_r), forms, noise_w, serv,
+            scenario.q_d, scenario.q_r, alpha, arrival, alpha, 1.0 - alpha,
         )
         t = int(np.argmax(obj))
         if obj[t] > best_obj:

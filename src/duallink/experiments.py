@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise ConfigValidationError("horizon must be >= 1")
         if self.workers < 1:
             raise ConfigValidationError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigValidationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,10 @@ def load_config(path: str) -> ExperimentConfig:
         if key in scenario_fields:
             num = _parse_number(key, value, integer=key in _SCENARIO_INTS)
             conv = _SCENARIO_CONVERSIONS.get(key)
-            scenario_kwargs[key] = conv(num) if conv else num
+            try:
+                scenario_kwargs[key] = conv(num) if conv else num
+            except OverflowError as exc:
+                raise ConfigValidationError(f"{key}: {value!r} is out of range") from exc
         elif key == "grid":
             experiment_kwargs["grid"] = tuple(_parse_number(key, v) for v in value.split(","))
         elif key in _EXPERIMENT_STRS:

@@ -10,15 +10,17 @@ noise) and must survive loss of the direct route, while the low-criticality
 stream is decoded after interference cancellation and needs the direct route.
 
 This module provides the scenario parameter bundle, amplitude gains of both
-routes, array responses, exact and beam-orthogonality-approximated SINRs,
-Shannon rates, and the nested Bernoulli blockage sampler.  Everything here is
-in SI units (W, Hz, m, s); dB/dBm conversion belongs to config ingestion.
+routes, array responses, the per-watt route coefficients and decoding-ratio
+forms that every allocator and baseline evaluates, exact and
+beam-orthogonality-approximated SINRs, Shannon rates, and the nested
+Bernoulli blockage sampler.  Everything here is in SI units (W, Hz, m, s);
+dB/dBm conversion belongs to config ingestion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -288,6 +290,51 @@ def array_response(n: int, phi: float) -> np.ndarray:
     return np.exp(1j * math.pi * k * math.sin(phi))
 
 
+def route_coefficients(gains: LinkGains, n_b: int, n_r: int) -> tuple[float, float]:
+    """
+    Received power per transmitted watt on each route under the
+    orthogonal-pencil-beam approximation: (w_d, w_r) = (n_b eta_d^2,
+    n_b n_r eta_r^2), the array gains times the squared route gains.
+    """
+    return n_b * gains.eta_d**2, n_b * n_r * gains.eta_r**2
+
+
+def decoding_forms(w_d: float, w_r: float, alt_hc_surrogate: bool = False):
+    """
+    The three decoding ratios as (signal, interference) linear forms over
+    the powers (p_h_d, p_h_r, p_l_d, p_l_r), each form a tuple of
+    (index, coefficient) pairs; noise adds to every interference.
+
+    In order: HC with the direct route down, HC with it up (HC is decoded
+    first, against the LC stream), and LC after cancelling HC.  The
+    direct-down ratio is the direct-up one with its direct coefficient
+    zeroed, so indexing by beta_d picks the HC case.
+    ``alt_hc_surrogate`` gives the HC ratios' direct beam the reflected
+    coefficient, an alternate pairing kept only for comparison.
+    """
+    w_hd = w_r if alt_hc_surrogate else w_d
+
+    def hc(w_direct):
+        return ((0, w_direct), (1, w_r)), ((2, w_direct), (3, w_r))
+
+    return hc(0.0), hc(w_hd), (((2, w_d), (3, w_r)), ())
+
+
+def ratio_parts(form, p, noise_w: float):
+    """
+    Signal and interference-plus-noise of one decoding form at the powers
+    p, a 4-sequence ordered as in PowerAllocation (entries may be arrays).
+    """
+    signal, interference = form
+    return (sum(c * p[i] for i, c in signal),
+            sum(c * p[i] for i, c in interference) + noise_w)
+
+
+def decoding_sinrs(forms, p, noise_w: float) -> tuple:
+    """The ratio signal / (interference + noise) of each decoding form."""
+    return tuple(s / i for s, i in (ratio_parts(f, p, noise_w) for f in forms))
+
+
 def approx_sinrs(
     gains: LinkGains,
     n_b: int,
@@ -299,15 +346,12 @@ def approx_sinrs(
     Decoding SINRs under the orthogonal-pencil-beam approximation.
 
     The HC stream is decoded first against the LC interference plus noise;
-    the LC stream is decoded after cancelling the HC stream. Route powers
-    enter additively with array gains n_b (direct) and n_b*n_r (reflected).
+    the LC stream is decoded after cancelling the HC stream.  A blocked
+    route's coefficient is zeroed.
     """
-    w_d = b.beta_d * n_b * gains.eta_d**2
-    w_r = b.beta_r * n_b * n_r * gains.eta_r**2
-    num_h = w_d * p.p_h_d + w_r * p.p_h_r
-    den_h = w_d * p.p_l_d + w_r * p.p_l_r + gains.noise_w
-    sinr_h = num_h / den_h
-    sinr_l = (w_d * p.p_l_d + w_r * p.p_l_r) / gains.noise_w
+    w_d, w_r = route_coefficients(gains, n_b, n_r)
+    forms = decoding_forms(b.beta_d * w_d, b.beta_r * w_r)
+    _, sinr_h, sinr_l = decoding_sinrs(forms, astuple(p), gains.noise_w)
     return sinr_h, sinr_l
 
 

@@ -108,19 +108,29 @@ def _solve_newton_system(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return step / d
 
 
+def _rows(fns, sign: float, coef: float) -> list:
+    """
+    Barrier rows over z = [x, e]: each (fn, value_fn, sign, coef) stands
+    for the inequality sign * fn(x) + coef * e < 0, where e is the epigraph
+    variable (main solve) or the slack (phase I).
+    """
+    return [(fn, _value_fn(fn), sign, coef) for fn in fns]
+
+
 def _center(
     z: np.ndarray,
     t_bar: float,
     f0_grad: np.ndarray,
-    cons: Sequence[ConstraintFn],
+    rows: list,
     lb: np.ndarray,
     settings: BarrierSettings,
 ) -> tuple[np.ndarray, int]:
     """Newton centering of t_bar * f0 + barrier at fixed barrier weight."""
-    n = len(z)
+    n = len(z) - 1
     bounded = np.isfinite(lb)
     lb_b = lb[bounded]
-    value_fns = [_value_fn(c) for c in cons]
+    row = np.empty(n + 1)  # one row's gradient over z, rewritten per row
+    row_x = row[:n]
 
     def psi_at(point: np.ndarray) -> float:
         slack_b = point[bounded] - lb_b
@@ -129,8 +139,9 @@ def _center(
         total = t_bar * float(f0_grad @ point)
         if slack_b.size:
             total -= float(np.sum(np.log(slack_b)))
-        for vfn in value_fns:
-            v = vfn(point)
+        x, e = point[:n], float(point[n])
+        for _, vfn, sign, coef in rows:
+            v = sign * vfn(x) + coef * e
             if v >= 0.0:
                 return np.inf
             total -= math.log(-v)
@@ -140,12 +151,13 @@ def _center(
         slack_b = point[bounded] - lb_b
         if slack_b.size and np.min(slack_b) <= 0.0:
             return False
-        return all(vfn(point) < 0.0 for vfn in value_fns)
+        x, e = point[:n], float(point[n])
+        return all(sign * vfn(x) + coef * e < 0.0 for _, vfn, sign, coef in rows)
 
     iters = 0
     for _ in range(settings.max_newton):
         grad = t_bar * f0_grad.copy()
-        hess = np.zeros((n, n))
+        hess = np.zeros((n + 1, n + 1))
         psi = t_bar * float(f0_grad @ z)
         slack_b = z[bounded] - lb_b
         if slack_b.size:
@@ -153,15 +165,19 @@ def _center(
             inv = 1.0 / slack_b
             grad[bounded] -= inv
             hess[bounded, bounded] += inv * inv
-        for c in cons:
-            v, g, h = c(z)
-            s = max(-v, _TINY)
+        x, e = z[:n], float(z[n])
+        for fn, _, sign, coef in rows:
+            out = fn(x)
+            s = max(-(sign * out[0] + coef * e), _TINY)
             psi -= math.log(s)
-            gs = g / s
+            np.multiply(out[1], sign, out=row_x)
+            row[n] = coef
+            gs = row / s
             grad += gs
             hess += np.outer(gs, gs)
-            if h is not None:
-                hess += h / s
+            # Objective terms (sign -1) are affine beyond first order.
+            if sign > 0.0 and out[2] is not None:
+                hess[:n, :n] += out[2] / s
         step = _solve_newton_system(hess, grad)
         decrement = -float(grad @ step)
         if decrement <= 0.0 or 0.5 * decrement <= settings.newton_tol:
@@ -196,45 +212,6 @@ def _center(
     return z, iters
 
 
-def _lift(con: ConstraintFn, n: int, extra: int = 1) -> ConstraintFn:
-    """Reuse an n-variable constraint on z = [x, appended variables]."""
-
-    def lifted(z: np.ndarray):
-        v, g, h = con(z[:n])
-        grad = np.zeros(n + extra)
-        grad[:n] = g
-        hess = None
-        if h is not None:
-            hess = np.zeros((n + extra, n + extra))
-            hess[:n, :n] = h
-        return v, grad, hess
-
-    fast = getattr(con, "value_only", None)
-    if fast is not None:
-        lifted.value_only = lambda z: fast(z[:n])
-    else:
-        lifted.value_only = lambda z: con(z[:n])[0]
-    return lifted
-
-
-def _term_cap(term: TermFn, n: int) -> ConstraintFn:
-    """Epigraph constraint t - f(x) <= 0 over z = [x, t]."""
-
-    def cap(z: np.ndarray):
-        v, g = term(z[:n])
-        grad = np.zeros(n + 1)
-        grad[:n] = -g
-        grad[n] = 1.0
-        return z[n] - v, grad, None
-
-    fast = getattr(term, "value_only", None)
-    if fast is not None:
-        cap.value_only = lambda z: z[n] - fast(z[:n])
-    else:
-        cap.value_only = lambda z: z[n] - term(z[:n])[0]
-    return cap
-
-
 def _phase_one(
     x: np.ndarray,
     problem: MaxMinProblem,
@@ -252,25 +229,11 @@ def _phase_one(
     bounded = np.isfinite(lb)
     x[bounded] = np.maximum(x[bounded], lb[bounded] + 1e-9)
 
+    rows = _rows(problem.constraints, 1.0, -1.0)
+
     def max_violation(point: np.ndarray) -> float:
-        if not problem.constraints:
-            return -1.0
-        return max(_value_fn(c)(point) for c in problem.constraints)
+        return max((vfn(point) for _, vfn, _, _ in rows), default=-1.0)
 
-    def shift(con: ConstraintFn) -> ConstraintFn:
-        lifted = _lift(con, n)
-
-        def shifted(w: np.ndarray):
-            v, g, h = lifted(w)
-            g = g.copy()
-            g[n] = -1.0
-            return v - w[n], g, h
-
-        base_val = lifted.value_only
-        shifted.value_only = lambda w: base_val(w) - w[n]
-        return shifted
-
-    cons = [shift(c) for c in problem.constraints]
     s0 = max(max_violation(x), 0.0) + 1.0
     w = np.concatenate([x, [s0]])
     f0_grad = np.zeros(n + 1)
@@ -280,11 +243,11 @@ def _phase_one(
     t_bar = settings.t_init
     newton_total = 0
     for _ in range(settings.max_outer):
-        w, it = _center(w, t_bar, f0_grad, cons, lb_w, settings)
+        w, it = _center(w, t_bar, f0_grad, rows, lb_w, settings)
         newton_total += it
         if max_violation(w[:n]) < -1e-12:
             return w[:n], True, newton_total
-        if (len(cons) + int(bounded.sum())) / t_bar < settings.gap_tol:
+        if (len(rows) + int(bounded.sum())) / t_bar < settings.gap_tol:
             break
         t_bar *= settings.t_mult
     return w[:n], max_violation(w[:n]) < 0.0, newton_total
@@ -331,9 +294,8 @@ def solve_maxmin(
                 status=STATUS_INFEASIBLE_START,
             )
 
-    cons = [_term_cap(t, n) for t in problem.terms]
-    cons.extend(_lift(c, n) for c in problem.constraints)
-    m = len(cons) + int(bounded.sum())
+    rows = _rows(problem.terms, -1.0, 1.0) + _rows(problem.constraints, 1.0, 0.0)
+    m = len(rows) + int(bounded.sum())
     t0 = min(t(x)[0] for t in problem.terms)
     z = np.concatenate([x, [t0 - max(1.0, 0.1 * abs(t0))]])
     lb_z = np.concatenate([lb, [-np.inf]])
@@ -344,7 +306,7 @@ def solve_maxmin(
     outer = 0
     gap_ok = False
     while outer < settings.max_outer:
-        z, it = _center(z, t_bar, f0_grad, cons, lb_z, settings)
+        z, it = _center(z, t_bar, f0_grad, rows, lb_z, settings)
         newton_total += it
         outer += 1
         if m / t_bar < settings.gap_tol:
@@ -352,12 +314,13 @@ def solve_maxmin(
             break
         t_bar *= settings.t_mult
 
-    x_star = z[:n]
+    x_star, e = z[:n], float(z[n])
     value = min(t(x_star)[0] for t in problem.terms)
     viol = max((_value_fn(c)(x_star) for c in problem.constraints), default=0.0)
 
     n_terms = len(problem.terms)
-    lam_cons = np.array([1.0 / (t_bar * max(-c(z)[0], _TINY)) for c in cons])
+    lam_cons = np.array([1.0 / (t_bar * max(-(sign * fn(x_star)[0] + coef * e), _TINY))
+                         for fn, _, sign, coef in rows])
     lam_bounds = np.zeros(n)
     slack_b = z[:n][bounded] - lb[bounded]
     lam_bounds[bounded] = 1.0 / (t_bar * np.maximum(slack_b, _TINY))

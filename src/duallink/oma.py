@@ -28,6 +28,18 @@ class OmaResult:
     objective: float
 
 
+def _phases(scenario: ScenarioParams, lc_ris_assist: bool) -> tuple[float, float, float, float]:
+    """
+    Spectral efficiencies [bit/s/Hz] of the full-power HC (reflector) and LC
+    phases, and their service rates [packets/slot] with route availability.
+    """
+    w_d, w_r, noise_w, serv = _coeffs(scenario)
+    w_l = w_d + w_r if lc_ris_assist else w_d
+    se_h = math.log2(1.0 + w_r * scenario.p_max / noise_w)
+    se_l = math.log2(1.0 + w_l * scenario.p_max / noise_w)
+    return se_h, se_l, (1.0 - scenario.q_r) * serv * se_h, (1.0 - scenario.q_d) * serv * se_l
+
+
 def oma_rates(
     tau: float,
     scenario: ScenarioParams,
@@ -45,13 +57,8 @@ def oma_rates(
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    w_d, w_r, noise_w, _ = _coeffs(scenario)
-    snr_h = w_r * scenario.p_max / noise_w
-    w_l = w_d + w_r if lc_ris_assist else w_d
-    snr_l = w_l * scenario.p_max / noise_w
-    rate_h = tau * scenario.bandwidth * math.log2(1.0 + snr_h)
-    rate_l = (1.0 - tau) * scenario.bandwidth * math.log2(1.0 + snr_l)
-    return rate_h, rate_l
+    se_h, se_l, _, _ = _phases(scenario, lc_ris_assist)
+    return tau * scenario.bandwidth * se_h, (1.0 - tau) * scenario.bandwidth * se_l
 
 
 def oma_optimize(
@@ -71,15 +78,7 @@ def oma_optimize(
     """
     alpha = scenario.alpha if alpha is None else alpha
     arrival = scenario.arrival_rate if arrival is None else arrival
-    w_d, w_r, noise_w, serv = _coeffs(scenario)
-    q_d, q_r = scenario.q_d, scenario.q_r
-
-    snr_h = w_r * scenario.p_max / noise_w
-    w_l = w_d + w_r if lc_ris_assist else w_d
-    snr_l = w_l * scenario.p_max / noise_w
-    # Full-phase service rates in packets/slot.
-    a_h = (1.0 - q_r) * serv * math.log2(1.0 + snr_h)
-    a_l = (1.0 - q_d) * serv * math.log2(1.0 + snr_l)
+    _, _, a_h, a_l = _phases(scenario, lc_ris_assist)
 
     def objective(tau: float) -> float:
         gap_h = a_h * tau - alpha * arrival
@@ -129,12 +128,7 @@ def oma_max_feasible_arrival(
     two phase durations into one slot; the boundary is closed form.
     """
     alpha = scenario.alpha if alpha is None else alpha
-    w_d, w_r, noise_w, serv = _coeffs(scenario)
-    snr_h = w_r * scenario.p_max / noise_w
-    w_l = w_d + w_r if lc_ris_assist else w_d
-    snr_l = w_l * scenario.p_max / noise_w
-    a_h = (1.0 - scenario.q_r) * serv * math.log2(1.0 + snr_h)
-    a_l = (1.0 - scenario.q_d) * serv * math.log2(1.0 + snr_l)
+    _, _, a_h, a_l = _phases(scenario, lc_ris_assist)
     if alpha <= 0.0:
         return a_l
     if alpha >= 1.0:

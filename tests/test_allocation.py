@@ -8,6 +8,7 @@ import pytest
 
 from duallink import (
     BlockageState,
+    MaxMinProblem,
     PowerAllocation,
     ScenarioParams,
     approx_sinrs,
@@ -20,8 +21,11 @@ from duallink import (
     objective_for_powers,
     optimal_mu,
     sca_power_allocation,
+    solve_maxmin,
     weighted_min_gap,
 )
+from duallink.allocation import _build_subproblem, _coeffs
+from duallink.link import decoding_forms
 
 # Hand-frozen scalar chains for the default scenario.
 MU_H0_REFERENCE = 7.92332609356792e4     # p = (0, 5, 0, 5) mW, direct route down
@@ -99,6 +103,72 @@ def test_transform_identity_random_points(scenario, gains):
         )
         val = g_l(p, gamma_l, mu.mu_l, gains, scenario.n_b, scenario.n_r)
         assert abs(val - (gamma_l - sinr_l)) <= 1e-9 * max(1.0, abs(gamma_l))
+
+
+def _subproblem(scenario, gains, p, mu, alt_hc_surrogate=False, alpha=0.1, arrival=700.0):
+    """The allocator's inner problem in gap form, as the SCA loop builds it."""
+    w_d, w_r, noise_w, serv = _coeffs(scenario, gains)
+    return _build_subproblem(
+        p, mu, scenario, (alpha, 1.0 - alpha),
+        (-alpha * alpha * arrival, -(1.0 - alpha) ** 2 * arrival),
+        decoding_forms(w_d, w_r, alt_hc_surrogate), noise_w, serv,
+    )
+
+
+@pytest.mark.parametrize("alt", [False, True])
+def test_sca_surrogates_are_the_checked_surrogates(scenario, gains, alt):
+    # The three surrogate rows SCA optimises equal g_h (direct route down,
+    # up) and g_l at the matching physical point, so the transform identity
+    # checked against approx_sinrs covers the code the allocator runs.
+    rng = np.random.default_rng(5)
+    n_b, n_r = scenario.n_b, scenario.n_r
+    for _ in range(100):
+        p = PowerAllocation(*(rng.random(4) * scenario.p_max / 4))
+        p_mu = PowerAllocation(*(rng.random(4) * scenario.p_max / 4))
+        mu_ref = optimal_mu(p_mu, gains, n_b, n_r, alt)
+        mu = type(mu_ref)(*(m * rng.uniform(0.5, 2.0)
+                            for m in (mu_ref.mu_h0, mu_ref.mu_h1, mu_ref.mu_l)))
+        gamma_h = rng.random() * 20.0
+        gamma_l = rng.random() * 2e4
+        x = np.zeros(8)
+        x[:4] = p.as_array() / scenario.p_max
+        x[6], x[7] = gamma_h, gamma_l
+        sur_h0, sur_h1, sur_l = _subproblem(scenario, gains, p, mu, alt).constraints[2:5]
+        checks = (
+            (sur_h0, g_h(p, gamma_h, mu.mu_h0, 0, gains, n_b, n_r, alt), gamma_h),
+            (sur_h1, g_h(p, gamma_h, mu.mu_h1, 1, gains, n_b, n_r, alt), gamma_h),
+            (sur_l, g_l(p, gamma_l, mu.mu_l, gains, n_b, n_r), gamma_l),
+        )
+        for con, ref, gamma in checks:
+            tol = 1e-9 * max(1.0, abs(gamma))
+            assert abs(con(x)[0] - ref) <= tol
+            assert abs(con.value_only(x) - ref) <= tol
+
+
+def test_value_only_fast_path_matches_full_calls(scenario, gains):
+    # Line searches use a row's value_only where it has one; with every
+    # value_only stripped the kernel must retrace the same Newton path,
+    # from the built start and through phase I from an infeasible one.
+    p = PowerAllocation(0.001, 0.004, 0.003, 0.002)
+    mu = optimal_mu(p, gains, scenario.n_b, scenario.n_r)
+    fast = _subproblem(scenario, gains, p, mu)
+
+    def strip(fn):
+        return lambda x: fn(x)
+
+    for shift in (0.0, 0.3):
+        fast.x0 = fast.x0 + shift  # 0.3 breaks the power budget
+        slow = MaxMinProblem(
+            n=fast.n,
+            terms=[strip(t) for t in fast.terms],
+            constraints=[strip(c) for c in fast.constraints],
+            x0=fast.x0.copy(),
+        )
+        assert not any(hasattr(f, "value_only") for f in [*slow.terms, *slow.constraints])
+        a, b = solve_maxmin(fast), solve_maxmin(slow)
+        assert np.array_equal(a.x, b.x)
+        assert a.value == b.value
+        assert a.newton_iters == b.newton_iters
 
 
 def test_objective_zero_powers(scenario):

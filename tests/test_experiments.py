@@ -97,6 +97,9 @@ def test_grid_must_increase(tmp_path):
     "n_b = 64.7\n",
     "n_r = 100.5\n",
     "seed = 1.5\n",
+    "seed = -1\n",
+    "p_max = 4000\n",
+    "g_b = 1e6\n",
     "horizon = 2000.9\n",
     "workers = 1.5\n",
     "axis = n_ris\ngrid = 100, 150.5\n",
@@ -332,3 +335,13 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     bad = write(tmp_path, "bad.cfg", "unknown_key = 1\n")
     assert main(["solve", "--config", bad]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_overflow_and_negative_seed(tmp_path, capsys):
+    huge = write(tmp_path, "huge.cfg", "p_max = 4000\n")
+    assert main(["solve", "--config", huge]) == 2
+    assert "p_max" in capsys.readouterr().err
+    out = str(tmp_path / "trace.csv")
+    assert main(["simulate", "--seed", "-5", "--out", out]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
