@@ -43,13 +43,7 @@ from .link import (
     sample_blockage,
     sample_blockage_batch,
 )
-from .maxmin import (
-    BarrierSettings,
-    KernelResult,
-    MaxMinProblem,
-    kkt_residual,
-    solve_maxmin,
-)
+from .maxmin import KernelResult, MaxMinProblem, kkt_residual, solve_maxmin
 from .oma import OmaResult, oma_max_feasible_arrival, oma_optimize, oma_rates
 from .queuesim import (
     DelayStats,
@@ -62,7 +56,7 @@ from .queuesim import (
 )
 
 __all__ = [
-    "AuxiliaryMu", "BarrierSettings", "BlockageState", "ConfigParseError",
+    "AuxiliaryMu", "BlockageState", "ConfigParseError",
     "ConfigValidationError", "DelayStats", "ExperimentConfig", "KernelResult",
     "LinkGains", "MaxMinProblem", "OmaResult", "PowerAllocation",
     "QueueState", "QueueTrace", "ScenarioParams", "SolveResult", "SweepRow",

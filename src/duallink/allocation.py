@@ -30,7 +30,6 @@ from .link import (
 )
 from .maxmin import (
     STATUS_INFEASIBLE_START,
-    BarrierSettings,
     MaxMinProblem,
     solve_maxmin,
 )
@@ -40,6 +39,10 @@ _SQRT_FLOOR = 1e-30
 # Powers are clamped to this fraction of the budget when computing the
 # auxiliary multipliers, so a stream that hit zero can re-enter.
 _MU_POWER_FLOOR = 1e-12
+# SCA stops once the objective changes by at most this much relative to
+# max(1, |objective|), or after this many inner solves.
+_SCA_REL_TOL = 1e-6
+_SCA_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -336,11 +339,8 @@ def sca_power_allocation(
     alpha: float | None = None,
     arrival: float | None = None,
     *,
-    rel_tol: float = 1e-6,
-    max_iters: int = 100,
     stop_when_nonneg: bool = False,
     alt_hc_surrogate: bool = False,
-    barrier_settings: BarrierSettings | None = None,
 ) -> SolveResult:
     """
     Iterative allocator for min(alpha gap_h, (1 - alpha) gap_l): alternate
@@ -357,8 +357,7 @@ def sca_power_allocation(
     arrival = scenario.arrival_rate if arrival is None else arrival
     return _sca(scenario, alpha, arrival, (alpha, 1.0 - alpha),
                 (-alpha * alpha * arrival, -(1.0 - alpha) ** 2 * arrival),
-                rel_tol=rel_tol, max_iters=max_iters, stop_when_nonneg=stop_when_nonneg,
-                alt_hc_surrogate=alt_hc_surrogate, barrier_settings=barrier_settings)
+                stop_when_nonneg=stop_when_nonneg, alt_hc_surrogate=alt_hc_surrogate)
 
 
 def capacity_allocation(
@@ -385,8 +384,8 @@ def capacity_allocation(
     return res
 
 
-def _sca(scenario, alpha, arrival, weights, offsets, *, rel_tol=1e-6, max_iters=100,
-         stop_when_nonneg=False, alt_hc_surrogate=False, barrier_settings=None):
+def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False,
+         alt_hc_surrogate=False):
     """SCA loop for min(w_h gap_h, w_l gap_l) at ``arrival``; offsets: negated weighted demands."""
     gains = link_gains(scenario)
     w_d, w_r, noise_w, serv = _coeffs(scenario, gains)
@@ -394,19 +393,21 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, rel_tol=1e-6, max_iters=
 
     quarter = scenario.p_max / 4.0
     p = PowerAllocation(quarter, quarter, quarter, quarter)
-    obj = objective_for_powers(p, scenario, alpha, arrival, weights)[4]
-    history = [obj]
+    # (rate_h, rate_l, gap_h, gap_l, objective) at the accepted powers p.
+    evals = objective_for_powers(p, scenario, alpha, arrival, weights)
+    history = [evals[4]]
     converged = False
     iterations = 0
 
-    for _ in range(max_iters):
+    for _ in range(_SCA_MAX_ITERS):
+        obj = history[-1]
         if stop_when_nonneg and obj >= 0.0:
             break
         floor = _MU_POWER_FLOOR * scenario.p_max
         p_mu = PowerAllocation(*np.maximum(p.as_array(), floor))
         mu = optimal_mu(p_mu, gains, scenario.n_b, scenario.n_r, alt_hc_surrogate)
         problem = _build_subproblem(p, mu, scenario, weights, offsets, forms, noise_w, serv)
-        result = solve_maxmin(problem, barrier_settings)
+        result = solve_maxmin(problem)
         if result.status == STATUS_INFEASIBLE_START:
             raise RuntimeError(
                 "inner solve lost feasibility: "
@@ -414,19 +415,18 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, rel_tol=1e-6, max_iters=
             )
         iterations += 1
         p_new = PowerAllocation(*(np.clip(result.x[:4], 0.0, None) * scenario.p_max))
-        obj_new = objective_for_powers(p_new, scenario, alpha, arrival, weights)[4]
+        evals_new = objective_for_powers(p_new, scenario, alpha, arrival, weights)
+        obj_new = evals_new[4]
         if obj_new < obj - 1e-9 * max(1.0, abs(obj)):
             converged = True  # no further progress available from this surrogate
             break
-        p = p_new
+        p, evals = p_new, evals_new
         history.append(obj_new)
-        if abs(obj_new - obj) <= rel_tol * max(1.0, abs(obj_new)):
-            obj = obj_new
+        if abs(obj_new - obj) <= _SCA_REL_TOL * max(1.0, abs(obj_new)):
             converged = True
             break
-        obj = obj_new
 
-    rate_h, rate_l, gap_h, gap_l, obj = objective_for_powers(p, scenario, alpha, arrival, weights)
+    rate_h, rate_l, gap_h, gap_l, obj = evals
     sinr_h0, sinr_h1, sinr_l = decoding_sinrs(decoding_forms(w_d, w_r), astuple(p), noise_w)
     return SolveResult(
         power=p,

@@ -19,12 +19,17 @@ from .experiments import (
     ConfigParseError,
     ConfigValidationError,
     ExperimentConfig,
+    _operating_rates,
     default_config,
     load_config,
     run_sweep,
 )
 from .oma import oma_optimize
 from .queuesim import mean_delay, run_simulation
+
+# The oracle's grid holds grid_n**3 entries per axis array: 201 takes
+# seconds and about 0.5 GB.
+_MAX_GRID_N = 201
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", parents=[common],
                             help="compare the allocator against brute force")
     oracle.add_argument("--grid-n", type=int, default=101,
-                        help="per-axis grid resolution (default 101)")
+                        help=f"per-axis grid resolution, 2 to {_MAX_GRID_N} (default 101)")
     sub.add_parser("simulate", parents=[common],
                    help="simulate the queues and export the trace CSV")
     return parser
@@ -92,6 +97,8 @@ def _print_solve(config) -> None:
 
 
 def _print_oracle(config, grid_n: int) -> None:
+    if not 2 <= grid_n <= _MAX_GRID_N:
+        raise ConfigValidationError(f"--grid-n must be in 2..{_MAX_GRID_N}, got {grid_n}")
     scenario = config.scenario
     res = sca_power_allocation(scenario, alt_hc_surrogate=config.alt_hc_surrogate)
     p_best, obj_best = brute_force_oracle(scenario, grid_n=grid_n)
@@ -105,13 +112,10 @@ def _print_oracle(config, grid_n: int) -> None:
 def _run_simulate(config) -> None:
     scenario = config.scenario
     scheme = "mcsc" if config.scheme == "both" else config.scheme
-    if scheme == "mcsc":
-        res = sca_power_allocation(scenario, alt_hc_surrogate=config.alt_hc_surrogate)
-        rates = (res.rate_h, res.rate_l)
-    else:
-        res = oma_optimize(scenario, lc_ris_assist=config.oma_lc_ris)
-        rates = (res.rate_h, res.rate_l)
-    trace = run_simulation(scenario, rates, config.horizon, config.seed)
+    rate_h, rate_l, _ = _operating_rates(scenario, scheme,
+                                         alt_hc_surrogate=config.alt_hc_surrogate,
+                                         oma_lc_ris=config.oma_lc_ris)
+    trace = run_simulation(scenario, (rate_h, rate_l), config.horizon, config.seed)
     out = config.out if config.out != "sweep.csv" else "trace.csv"
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

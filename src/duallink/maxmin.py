@@ -57,20 +57,17 @@ class MaxMinProblem:
         return np.asarray(self.lower_bounds, dtype=float)
 
 
-@dataclass
-class BarrierSettings:
-    """Fixed solver settings; defaults are deliberately unadventurous."""
-
-    t_init: float = 1.0
-    t_mult: float = 10.0
-    gap_tol: float = 1e-8      # outer loop runs until m / t_barrier < gap_tol
-    newton_tol: float = 1e-10  # on half the squared Newton decrement
-    armijo: float = 0.3
-    backtrack: float = 0.5
-    max_newton: int = 80
-    max_outer: int = 48
-    kkt_tol: float = 1e-3      # on the KKT residual relative to its terms' size
-    feas_tol: float = 1e-9
+# Fixed solver settings; deliberately unadventurous.
+_T_INIT = 1.0
+_T_MULT = 10.0
+_GAP_TOL = 1e-8      # outer loop runs until m / t_barrier < gap_tol
+_NEWTON_TOL = 1e-10  # on half the squared Newton decrement
+_ARMIJO = 0.3
+_BACKTRACK = 0.5
+_MAX_NEWTON = 80
+_MAX_OUTER = 48
+KKT_TOL = 1e-3       # on the KKT residual relative to its terms' size
+_FEAS_TOL = 1e-9
 
 
 @dataclass
@@ -123,7 +120,6 @@ def _center(
     f0_grad: np.ndarray,
     rows: list,
     lb: np.ndarray,
-    settings: BarrierSettings,
 ) -> tuple[np.ndarray, int]:
     """Newton centering of t_bar * f0 + barrier at fixed barrier weight."""
     n = len(z) - 1
@@ -133,6 +129,7 @@ def _center(
     row_x = row[:n]
 
     def psi_at(point: np.ndarray) -> float:
+        """Centering cost at point; +inf outside the barrier's domain."""
         slack_b = point[bounded] - lb_b
         if slack_b.size and np.min(slack_b) <= 0.0:
             return np.inf
@@ -147,15 +144,8 @@ def _center(
             total -= math.log(-v)
         return total
 
-    def in_domain(point: np.ndarray) -> bool:
-        slack_b = point[bounded] - lb_b
-        if slack_b.size and np.min(slack_b) <= 0.0:
-            return False
-        x, e = point[:n], float(point[n])
-        return all(sign * vfn(x) + coef * e < 0.0 for _, vfn, sign, coef in rows)
-
     iters = 0
-    for _ in range(settings.max_newton):
+    for _ in range(_MAX_NEWTON):
         grad = t_bar * f0_grad.copy()
         hess = np.zeros((n + 1, n + 1))
         psi = t_bar * float(f0_grad @ z)
@@ -180,7 +170,7 @@ def _center(
                 hess[:n, :n] += out[2] / s
         step = _solve_newton_system(hess, grad)
         decrement = -float(grad @ step)
-        if decrement <= 0.0 or 0.5 * decrement <= settings.newton_tol:
+        if decrement <= 0.0 or 0.5 * decrement <= _NEWTON_TOL:
             break
         iters += 1
         lam = math.sqrt(decrement)
@@ -188,35 +178,56 @@ def _center(
         # step is taken on a domain check alone; the centering cost there
         # changes by less than float resolution, so an Armijo test on it
         # would only thrash.  Farther out, backtrack on the cost as usual.
+        # Outside the domain the cost is +inf, so both tests fail there, as
+        # they do on a NaN cost.
         if lam <= 0.25:
             t_step = 1.0
-            while t_step > 1e-16 and not in_domain(z + t_step * step):
-                t_step *= settings.backtrack
+            while t_step > 1e-16 and not psi_at(z + t_step * step) < np.inf:
+                t_step *= _BACKTRACK
             if t_step <= 1e-16:
                 break
             z = z + t_step * step
         else:
             t_step = 1.0 / (1.0 + lam)
-            while t_step > 1e-16 and not in_domain(z + t_step * step):
-                t_step *= settings.backtrack
-            accepted = False
             while t_step > 1e-16:
                 cand = z + t_step * step
-                if psi_at(cand) <= psi - settings.armijo * t_step * decrement:
-                    accepted = True
+                if psi_at(cand) <= psi - _ARMIJO * t_step * decrement:
                     break
-                t_step *= settings.backtrack
-            if not accepted:
+                t_step *= _BACKTRACK
+            else:
                 break
             z = cand
     return z, iters
 
 
-def _phase_one(
-    x: np.ndarray,
-    problem: MaxMinProblem,
-    settings: BarrierSettings,
-) -> tuple[np.ndarray, bool, int]:
+def _barrier(
+    z: np.ndarray,
+    f0_grad: np.ndarray,
+    rows: list,
+    lb: np.ndarray,
+    stop: Callable[[np.ndarray], bool] | None = None,
+) -> tuple[np.ndarray, float, int, int, bool]:
+    """
+    Barrier outer loop: center, then multiply the barrier weight t by
+    _T_MULT, until ``stop(z)`` holds, the duality-gap bound m / t clears
+    _GAP_TOL, or _MAX_OUTER stages have run.  Returns (z, t, Newton steps,
+    stages, whether the gap bound cleared).
+    """
+    m = len(rows) + int(np.isfinite(lb).sum())
+    t_bar = _T_INIT
+    newton = 0
+    for stages in range(1, _MAX_OUTER + 1):
+        z, it = _center(z, t_bar, f0_grad, rows, lb)
+        newton += it
+        if stop is not None and stop(z):
+            break
+        if m / t_bar < _GAP_TOL:
+            return z, t_bar, newton, stages, True
+        t_bar *= _T_MULT
+    return z, t_bar, newton, stages, False
+
+
+def _phase_one(x: np.ndarray, problem: MaxMinProblem) -> tuple[np.ndarray, bool, int]:
     """
     Minimise the maximum constraint violation to recover a strictly
     feasible point.  Works on w = [x, s] with constraints g_j(x) - s <= 0
@@ -240,23 +251,13 @@ def _phase_one(
     f0_grad[n] = 1.0  # minimise s
     lb_w = np.concatenate([lb, [-np.inf]])
 
-    t_bar = settings.t_init
-    newton_total = 0
-    for _ in range(settings.max_outer):
-        w, it = _center(w, t_bar, f0_grad, rows, lb_w, settings)
-        newton_total += it
-        if max_violation(w[:n]) < -1e-12:
-            return w[:n], True, newton_total
-        if (len(rows) + int(bounded.sum())) / t_bar < settings.gap_tol:
-            break
-        t_bar *= settings.t_mult
+    w, _, newton_total, _, _ = _barrier(
+        w, f0_grad, rows, lb_w, stop=lambda point: max_violation(point[:n]) < -1e-12
+    )
     return w[:n], max_violation(w[:n]) < 0.0, newton_total
 
 
-def solve_maxmin(
-    problem: MaxMinProblem,
-    settings: BarrierSettings | None = None,
-) -> KernelResult:
+def solve_maxmin(problem: MaxMinProblem) -> KernelResult:
     """
     Maximise the minimum of the objective terms subject to the constraints.
 
@@ -266,7 +267,6 @@ def solve_maxmin(
     tolerances, ``infeasible-start`` when phase I cannot find a strictly
     feasible point, and ``max-iterations`` otherwise.
     """
-    settings = settings or BarrierSettings()
     n = problem.n
     lb = problem.bounds()
     x = np.asarray(problem.x0, dtype=float).copy()
@@ -279,7 +279,7 @@ def solve_maxmin(
         _value_fn(c)(x) < 0.0 for c in problem.constraints
     )
     if not strictly_ok:
-        x, ok, it = _phase_one(x, problem, settings)
+        x, ok, it = _phase_one(x, problem)
         newton_total += it
         if not ok:
             value = min(t(x)[0] for t in problem.terms)
@@ -295,32 +295,23 @@ def solve_maxmin(
             )
 
     rows = _rows(problem.terms, -1.0, 1.0) + _rows(problem.constraints, 1.0, 0.0)
-    m = len(rows) + int(bounded.sum())
     t0 = min(t(x)[0] for t in problem.terms)
     z = np.concatenate([x, [t0 - max(1.0, 0.1 * abs(t0))]])
     lb_z = np.concatenate([lb, [-np.inf]])
     f0_grad = np.zeros(n + 1)
     f0_grad[n] = -1.0  # maximise t
+    z, t_bar, it, outer, gap_ok = _barrier(z, f0_grad, rows, lb_z)
+    newton_total += it
 
-    t_bar = settings.t_init
-    outer = 0
-    gap_ok = False
-    while outer < settings.max_outer:
-        z, it = _center(z, t_bar, f0_grad, rows, lb_z, settings)
-        newton_total += it
-        outer += 1
-        if m / t_bar < settings.gap_tol:
-            gap_ok = True
-            break
-        t_bar *= settings.t_mult
-
+    # Every row once at x*: terms first, then constraints.
     x_star, e = z[:n], float(z[n])
-    value = min(t(x_star)[0] for t in problem.terms)
-    viol = max((_value_fn(c)(x_star) for c in problem.constraints), default=0.0)
-
+    outs = [fn(x_star) for fn, *_ in rows]
     n_terms = len(problem.terms)
-    lam_cons = np.array([1.0 / (t_bar * max(-(sign * fn(x_star)[0] + coef * e), _TINY))
-                         for fn, _, sign, coef in rows])
+    value = min(out[0] for out in outs[:n_terms])
+    viol = max((out[0] for out in outs[n_terms:]), default=0.0)
+
+    lam_cons = np.array([1.0 / (t_bar * max(-(sign * out[0] + coef * e), _TINY))
+                         for out, (_, _, sign, coef) in zip(outs, rows)])
     lam_bounds = np.zeros(n)
     slack_b = z[:n][bounded] - lb[bounded]
     lam_bounds[bounded] = 1.0 / (t_bar * np.maximum(slack_b, _TINY))
@@ -334,15 +325,11 @@ def solve_maxmin(
     # in raw units a badly scaled problem leaves dual noise proportional to
     # the multiplier magnitudes even at an optimal point.
     kkt_scale = 1.0 + float(np.sum(np.abs(lam_bounds)))
-    for lam, term in zip(multipliers["terms"], problem.terms):
-        kkt_scale += lam * float(np.linalg.norm(term(x_star)[1]))
-    for lam, con in zip(multipliers["constraints"], problem.constraints):
-        kkt_scale += lam * float(np.linalg.norm(con(x_star)[1]))
+    for lam, out in zip(lam_cons, outs):
+        kkt_scale += lam * float(np.linalg.norm(out[1]))
     status = (
         STATUS_CONVERGED
-        if gap_ok
-        and kkt <= settings.kkt_tol * kkt_scale
-        and max(viol, 0.0) <= settings.feas_tol
+        if gap_ok and kkt <= KKT_TOL * kkt_scale and max(viol, 0.0) <= _FEAS_TOL
         else STATUS_MAX_ITERATIONS
     )
     return KernelResult(

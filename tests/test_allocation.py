@@ -26,6 +26,7 @@ from duallink import (
 )
 from duallink.allocation import _build_subproblem, _coeffs
 from duallink.link import decoding_forms
+from test_acceptance import _random_scenario
 
 # Hand-frozen scalar chains for the default scenario.
 MU_H0_REFERENCE = 7.92332609356792e4     # p = (0, 5, 0, 5) mW, direct route down
@@ -303,6 +304,23 @@ def test_alt_surrogate_variant_still_converges(scenario):
     # The alternate coefficient pairing misreads the direct-beam strength,
     # so it cannot beat the matched surrogate by more than solver noise.
     assert res.objective <= ref.objective + 1e-3 * max(1.0, abs(ref.objective))
+
+
+def _closed_form_cases():
+    rng = np.random.default_rng(42)
+    cases = [(*_random_scenario(rng), False) for _ in range(5)]
+    return cases + [(ScenarioParams(), alpha, True) for alpha in (0.0, 0.1, 1.0)]
+
+
+@pytest.mark.parametrize("sc, alpha, stop_when_nonneg", _closed_form_cases())
+def test_solve_result_is_closed_form_of_its_powers(sc, alpha, stop_when_nonneg):
+    # The reported rates, gaps and objective are the closed-form evaluation
+    # of the reported powers, and the last accepted objective in the history.
+    res = sca_power_allocation(sc, alpha, 700.0, stop_when_nonneg=stop_when_nonneg)
+    assert (res.rate_h, res.rate_l, res.gap_h, res.gap_l, res.objective) == (
+        objective_for_powers(res.power, sc, alpha, 700.0)
+    )
+    assert res.objective == res.objective_history[-1]
 
 
 def test_max_feasible_arrival_lc_only(scenario):

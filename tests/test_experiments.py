@@ -345,3 +345,13 @@ def test_cli_rejects_overflow_and_negative_seed(tmp_path, capsys):
     assert main(["simulate", "--seed", "-5", "--out", out]) == 2
     assert "seed" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("grid_n", ["1", "5000"])
+def test_cli_rejects_grid_n_before_solving(monkeypatch, capsys, grid_n):
+    def never(*args, **kwargs):
+        raise AssertionError("the allocator ran")
+
+    monkeypatch.setattr("duallink.cli.sca_power_allocation", never)
+    assert main(["oracle", "--grid-n", grid_n]) == 2
+    assert "error: --grid-n" in capsys.readouterr().err

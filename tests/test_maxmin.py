@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from duallink import MaxMinProblem, kkt_residual, solve_maxmin
-from duallink.maxmin import (
-    STATUS_CONVERGED,
-    STATUS_INFEASIBLE_START,
-    BarrierSettings,
-)
+from duallink.maxmin import KKT_TOL, STATUS_CONVERGED, STATUS_INFEASIBLE_START
 
 
 def affine_term(coeffs, offset=0.0):
@@ -181,7 +177,7 @@ def test_kkt_residual_continuity():
 
 def test_solver_kkt_residual_small_on_convergence():
     res = solve_maxmin(symmetric_budget_problem())
-    assert res.kkt_residual <= BarrierSettings().kkt_tol
+    assert res.kkt_residual <= KKT_TOL
 
 
 def test_random_affine_problems_match_grid():
