@@ -28,11 +28,7 @@ from .link import (
     ratio_parts,
     route_coefficients,
 )
-from .maxmin import (
-    STATUS_INFEASIBLE_START,
-    MaxMinProblem,
-    solve_maxmin,
-)
+from .maxmin import STATUS_INFEASIBLE_START, solve_maxmin
 
 # Guard for square-root arguments; p = 0 is a legitimate boundary point.
 _SQRT_FLOOR = 1e-30
@@ -43,6 +39,7 @@ _MU_POWER_FLOOR = 1e-12
 # max(1, |objective|), or after this many inner solves.
 _SCA_REL_TOL = 1e-6
 _SCA_MAX_ITERS = 100
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,9 @@ class SolveResult:
     objective_history: list[float] = field(default_factory=list)
 
 
-def _coeffs(scenario: ScenarioParams, gains: LinkGains | None = None):
+def _coeffs(scenario: ScenarioParams):
     """Per-watt SNR coefficients of both beams, noise power, service factor."""
-    g = gains or link_gains(scenario)
+    g = link_gains(scenario)
     w_d, w_r = route_coefficients(g, scenario.n_b, scenario.n_r)
     serv = scenario.slot_duration * scenario.bandwidth / scenario.packet_size
     return w_d, w_r, g.noise_w, serv
@@ -142,7 +139,11 @@ def optimal_mu(
 ) -> AuxiliaryMu:
     """Stationary multipliers sqrt(signal)/(interference + noise) per ratio."""
     forms = decoding_forms(*route_coefficients(gains, n_b, n_r), alt_hc_surrogate)
-    parts = (ratio_parts(f, astuple(p), gains.noise_w) for f in forms)
+    return _multipliers(p, forms, gains.noise_w)
+
+
+def _multipliers(p: PowerAllocation, forms, noise_w: float) -> AuxiliaryMu:
+    parts = (ratio_parts(f, astuple(p), noise_w) for f in forms)
     return AuxiliaryMu(*(math.sqrt(sig) / interf for sig, interf in parts))
 
 
@@ -181,157 +182,119 @@ def objective_for_powers(
     """
     alpha = scenario.alpha if alpha is None else alpha
     arrival = scenario.arrival_rate if arrival is None else arrival
-    w_h, w_l = (alpha, 1.0 - alpha) if weights is None else weights
+    weights = (alpha, 1.0 - alpha) if weights is None else weights
     w_d, w_r, noise_w, serv = _coeffs(scenario)
+    return _evaluate(p, decoding_forms(w_d, w_r), noise_w, serv, scenario, alpha, arrival, weights)
+
+
+def _evaluate(p, forms, noise_w, serv, scenario, alpha, arrival, weights):
+    """objective_for_powers from the true decoding forms, noise and service factor."""
     se_h, se_l, gap_h, gap_l, obj = _objective_terms_np(
-        astuple(p), decoding_forms(w_d, w_r), noise_w, serv,
-        scenario.q_d, scenario.q_r, alpha, arrival, w_h, w_l,
-    )
-    return (
-        float(se_h) * scenario.bandwidth,
-        float(se_l) * scenario.bandwidth,
-        float(gap_h),
-        float(gap_l),
-        float(obj),
-    )
+        astuple(p), forms, noise_w, serv, scenario.q_d, scenario.q_r, alpha, arrival, *weights)
+    bandwidth = scenario.bandwidth
+    return float(se_h) * bandwidth, float(se_l) * bandwidth, float(gap_h), float(gap_l), float(obj)
 
 
-def _sparse_linear(pairs, offset: float = 0.0, floor: float | None = None):
-    """Closure for a linear form with at most two nonzero coefficients."""
-    if len(pairs) == 0:
-        value = offset if floor is None else max(offset, floor)
-        return lambda x: value
-    if len(pairs) == 1:
-        ((i0, c0),) = pairs
-        if floor is None:
-            return lambda x: c0 * x[i0] + offset
-        return lambda x: max(c0 * x[i0] + offset, floor)
-    (i0, c0), (i1, c1) = pairs
-    if floor is None:
-        return lambda x: c0 * x[i0] + c1 * x[i1] + offset
-    return lambda x: max(c0 * x[i0] + c1 * x[i1] + offset, floor)
-
-
-def _build_subproblem(
-    p: PowerAllocation,
-    mu: AuxiliaryMu,
-    scenario: ScenarioParams,
-    weights: tuple[float, float],
-    offsets: tuple[float, float],
-    forms,
-    noise_w: float,
-    serv: float,
-) -> MaxMinProblem:
+@dataclass
+class _Subproblem:
     """
-    Convex inner problem over scaled variables
-    x = [u_hd, u_hr, u_ld, u_lr, r_h, r_l, gamma_h, gamma_l]
-    with u = power / p_max and r = rate / bandwidth.  Objective terms are
-    w (1 - q) serv r + offset per stream; a zero weight drops its term.
-    ``forms`` are the decoding forms (HC direct down, HC direct up, LC).
+    The SCA inner problem as stacked rows over the scaled variables
+    x = [u_hd, u_hr, u_ld, u_lr, r_h, r_l, gamma_h, gamma_l]: each row is
+    lin @ x + const, less 2 mu sqrt(a @ x) on the three surrogate rows and
+    log2(1 + gamma) on the two rate caps.  Row order: the terms, the rate
+    caps (HC, LC), the surrogates (HC direct down, HC direct up, LC), the
+    power budget.
+    """
+
+    n_terms: int
+    lin: np.ndarray
+    const: np.ndarray
+    a: np.ndarray
+    mu: np.ndarray
+    x0: np.ndarray
+    n: int = 8
+
+    def bounds(self) -> np.ndarray:
+        return np.zeros(self.n)
+
+    def _parts(self, x):
+        k = self.n_terms
+        arg = np.maximum(self.a @ x, _SQRT_FLOOR)
+        root = np.sqrt(arg)
+        vals = self.lin @ x + self.const
+        vals[k:k + 2] -= np.log2(1.0 + x[6:8])
+        vals[k + 2:k + 5] -= 2.0 * self.mu * root
+        return vals, arg, root
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return self._parts(x)[0]
+
+    def evaluate(self, x: np.ndarray):
+        k = self.n_terms
+        vals, arg, root = self._parts(x)
+        gam1 = 1.0 + x[6:8]
+        jac = self.lin.copy()
+        jac[[k, k + 1], [6, 7]] -= 1.0 / (gam1 * _LN2)
+        jac[k + 2:k + 5] -= (self.mu / root)[:, None] * self.a
+        curv_cap = 1.0 / (gam1**2 * _LN2)
+        curv_sur = self.mu / (2.0 * arg * root)
+
+        def weighted_hessian(w: np.ndarray) -> np.ndarray:
+            hess = self.a.T @ ((w[k + 2:k + 5] * curv_sur)[:, None] * self.a)
+            hess[[6, 7], [6, 7]] += w[k:k + 2] * curv_cap
+            return hess
+
+        return vals, jac, weighted_hessian
+
+
+def _build_subproblem(p: PowerAllocation, mu: AuxiliaryMu, scenario: ScenarioParams,
+                      weights: tuple[float, float], offsets: tuple[float, float],
+                      forms, noise_w: float, serv: float) -> _Subproblem:
+    """
+    Convex inner problem at multipliers mu, with u = power / p_max and
+    r = rate / bandwidth.  Objective terms are w (1 - q) serv r + offset per
+    stream; a zero weight drops its term.  ``forms`` are the decoding forms
+    (HC direct down, HC direct up, LC); surrogate j reads
+    gamma - 2 mu_j sqrt(signal_j) + mu_j^2 (interference_j + noise).
     """
     p_max = scenario.p_max
-    q_d, q_r = scenario.q_d, scenario.q_r
-    ln2 = math.log(2.0)
-
-    terms = []
-
-    def make_term(r_idx: int, slope: float, offset: float):
-        grad = np.zeros(8)
-        grad[r_idx] = slope
-
-        def term(x):
-            return slope * x[r_idx] + offset, grad
-
-        term.value_only = lambda x: slope * x[r_idx] + offset
-        return term
-
-    w_h, w_l = weights
-    if w_h > 0.0:
-        terms.append(make_term(4, w_h * (1.0 - q_r) * serv, offsets[0]))
-    if w_l > 0.0:
-        terms.append(make_term(5, w_l * (1.0 - q_d) * serv, offsets[1]))
-
-    def make_rate_cap(r_idx: int, g_idx: int):
-        def cap(x):
-            gam = x[g_idx]
-            val = x[r_idx] - math.log2(1.0 + gam)
-            grad = np.zeros(8)
-            grad[r_idx] = 1.0
-            grad[g_idx] = -1.0 / ((1.0 + gam) * ln2)
-            hess = np.zeros((8, 8))
-            hess[g_idx, g_idx] = 1.0 / ((1.0 + gam) ** 2 * ln2)
-            return val, grad, hess
-
-        cap.value_only = lambda x: x[r_idx] - math.log2(1.0 + x[g_idx])
-        return cap
-
-    def make_surrogate(g_idx: int, mu_val: float, a_pairs, b_pairs, b_off: float):
-        # gamma - 2 mu sqrt(a.x) + mu^2 (b.x + b_off); a, b in watts per unit
-        # power, given as sparse (index, coefficient) pairs.
-        a_vec = np.zeros(8)
-        for i, c in a_pairs:
-            a_vec[i] = c
-        base_grad = np.zeros(8)
-        for i, c in b_pairs:
-            base_grad[i] = mu_val**2 * c
-        base_grad[g_idx] = 1.0
-        outer_aa = np.outer(a_vec, a_vec)
-        a_of = _sparse_linear(a_pairs, floor=_SQRT_FLOOR)
-        lin_of = _sparse_linear(
-            tuple((i, mu_val**2 * c) for i, c in b_pairs),
-            offset=mu_val**2 * b_off,
-        )
-
-        def value_only(x) -> float:
-            return x[g_idx] - 2.0 * mu_val * math.sqrt(a_of(x)) + lin_of(x)
-
-        def surrogate(x):
-            a_val = a_of(x)
-            root = math.sqrt(a_val)
-            grad = base_grad - (mu_val / root) * a_vec
-            hess = (mu_val / (2.0 * a_val * root)) * outer_aa
-            return x[g_idx] - 2.0 * mu_val * root + lin_of(x), grad, hess
-
-        surrogate.value_only = value_only
-        return surrogate
-
-    budget_grad = np.zeros(8)
-    budget_grad[:4] = 1.0
-
-    def budget(x):
-        return x[0] + x[1] + x[2] + x[3] - 1.0, budget_grad, None
-
-    budget.value_only = lambda x: x[0] + x[1] + x[2] + x[3] - 1.0
+    slopes = (weights[0] * (1.0 - scenario.q_r) * serv,
+              weights[1] * (1.0 - scenario.q_d) * serv)
+    streams = [k for k in (0, 1) if weights[k] > 0.0]
+    k = len(streams)
+    lin = np.zeros((k + 6, 8))
+    const = np.zeros(k + 6)
+    for row, stream in enumerate(streams):
+        lin[row, 4 + stream] = slopes[stream]
+        const[row] = offsets[stream]
+    lin[k, 4] = lin[k + 1, 5] = 1.0  # r - log2(1 + gamma)
+    mus = np.array([mu.mu_h0, mu.mu_h1, mu.mu_l])
+    a = np.zeros((3, 8))
+    for j, (g_idx, (sig, interf)) in enumerate(zip((6, 6, 7), forms)):
+        row = k + 2 + j
+        lin[row, g_idx] = 1.0
+        for i, c in sig:
+            a[j, i] = c * p_max
+        for i, c in interf:
+            lin[row, i] = mus[j]**2 * (c * p_max)
+        const[row] = mus[j]**2 * noise_w
+    lin[k + 5, :4] = 1.0  # the budget u_hd + u_hr + u_ld + u_lr <= 1
+    const[k + 5] = -1.0
 
     # A strictly feasible start: powers pulled inside the simplex, SINR
     # targets halfway to their surrogate caps, rates halfway to capacity.
+    # With zero targets a surrogate row's value is minus its cap.
     u0 = np.maximum(p.as_array() / p_max, 1e-10) * 0.995
     total = float(np.sum(u0))
     if total >= 0.999:
         u0 *= 0.999 / total
     x0 = np.zeros(8)
     x0[:4] = u0
-
-    # The decoding forms in watts per unit u, zero coefficients dropped.
-    def scaled(pairs):
-        return tuple((i, c * p_max) for i, c in pairs if c != 0.0)
-
-    constraints = [make_rate_cap(4, 6), make_rate_cap(5, 7)]
-    caps = []  # largest SINR target each surrogate admits at x0
-    for g_idx, mu_val, (sig, interf) in zip((6, 6, 7), (mu.mu_h0, mu.mu_h1, mu.mu_l), forms):
-        form = scaled(sig), scaled(interf)
-        constraints.append(make_surrogate(g_idx, mu_val, *form, noise_w))
-        caps.append(-_surrogate(0.0, mu_val, *ratio_parts(form, x0, noise_w)))
-    constraints.append(budget)
-
-    gam_h0 = 0.5 * min(caps[0], caps[1])
-    gam_l0 = 0.5 * caps[2]
-    x0[6] = max(gam_h0, 1e-14)
-    x0[7] = max(gam_l0, 1e-14)
-    x0[4] = 0.5 * math.log2(1.0 + x0[6])
-    x0[5] = 0.5 * math.log2(1.0 + x0[7])
-
-    return MaxMinProblem(n=8, terms=terms, constraints=constraints, x0=x0)
+    sub = _Subproblem(k, lin, const, a, mus, x0)
+    caps = -sub.values(x0)[k + 2:k + 5]
+    x0[6:8] = np.maximum(0.5 * np.array([min(caps[0], caps[1]), caps[2]]), 1e-14)
+    x0[4:6] = 0.5 * np.log2(1.0 + x0[6:8])
+    return sub
 
 
 def sca_power_allocation(
@@ -387,14 +350,17 @@ def capacity_allocation(
 def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False,
          alt_hc_surrogate=False):
     """SCA loop for min(w_h gap_h, w_l gap_l) at ``arrival``; offsets: negated weighted demands."""
-    gains = link_gains(scenario)
-    w_d, w_r, noise_w, serv = _coeffs(scenario, gains)
+    w_d, w_r, noise_w, serv = _coeffs(scenario)
+    true_forms = decoding_forms(w_d, w_r)
     forms = decoding_forms(w_d, w_r, alt_hc_surrogate)
+
+    def closed_form(p):
+        return _evaluate(p, true_forms, noise_w, serv, scenario, alpha, arrival, weights)
 
     quarter = scenario.p_max / 4.0
     p = PowerAllocation(quarter, quarter, quarter, quarter)
     # (rate_h, rate_l, gap_h, gap_l, objective) at the accepted powers p.
-    evals = objective_for_powers(p, scenario, alpha, arrival, weights)
+    evals = closed_form(p)
     history = [evals[4]]
     converged = False
     iterations = 0
@@ -405,7 +371,7 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False,
             break
         floor = _MU_POWER_FLOOR * scenario.p_max
         p_mu = PowerAllocation(*np.maximum(p.as_array(), floor))
-        mu = optimal_mu(p_mu, gains, scenario.n_b, scenario.n_r, alt_hc_surrogate)
+        mu = _multipliers(p_mu, forms, noise_w)
         problem = _build_subproblem(p, mu, scenario, weights, offsets, forms, noise_w, serv)
         result = solve_maxmin(problem)
         if result.status == STATUS_INFEASIBLE_START:
@@ -415,7 +381,7 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False,
             )
         iterations += 1
         p_new = PowerAllocation(*(np.clip(result.x[:4], 0.0, None) * scenario.p_max))
-        evals_new = objective_for_powers(p_new, scenario, alpha, arrival, weights)
+        evals_new = closed_form(p_new)
         obj_new = evals_new[4]
         if obj_new < obj - 1e-9 * max(1.0, abs(obj)):
             converged = True  # no further progress available from this surrogate
@@ -427,7 +393,7 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False,
             break
 
     rate_h, rate_l, gap_h, gap_l, obj = evals
-    sinr_h0, sinr_h1, sinr_l = decoding_sinrs(decoding_forms(w_d, w_r), astuple(p), noise_w)
+    sinr_h0, sinr_h1, sinr_l = decoding_sinrs(true_forms, astuple(p), noise_w)
     return SolveResult(
         power=p,
         rate_h=rate_h,

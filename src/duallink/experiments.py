@@ -35,7 +35,7 @@ _METRICS = ("se", "delay", "both")
 
 
 class ConfigParseError(Exception):
-    """The config file is not flat key=value text."""
+    """The config file is not flat key=value text, or a sweep CSV is malformed."""
 
 
 class ConfigValidationError(Exception):
@@ -398,7 +398,10 @@ def write_rows(path: str, rows: list[SweepRow]) -> None:
 
 
 def read_rows(path: str) -> list[SweepRow]:
-    """Parse a sweep CSV back into rows; inverse of write_rows."""
+    """
+    Parse a sweep CSV back into rows; inverse of write_rows.  Raises
+    ConfigParseError, naming the line, on malformed input.
+    """
 
     def opt_float(cell: str) -> float | None:
         return None if cell == "" else float(cell)
@@ -406,23 +409,32 @@ def read_rows(path: str) -> list[SweepRow]:
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigParseError("line 1: empty file, expected the CSV header")
         if header != CSV_HEADER:
-            raise ConfigParseError(f"unexpected CSV header {header!r}")
+            raise ConfigParseError(f"line 1: unexpected CSV header {header!r}")
         for rec in reader:
-            rows.append(SweepRow(
-                sweep_value=float(rec[0]),
-                scheme=rec[1],
-                se_h=opt_float(rec[2]),
-                se_l=opt_float(rec[3]),
-                se_sum=opt_float(rec[4]),
-                a_star=opt_float(rec[5]),
-                tau_h_slots=opt_float(rec[6]),
-                tau_l_slots=opt_float(rec[7]),
-                stable=None if rec[8] == "" else rec[8] == "true",
-                iterations=None if rec[9] == "" else int(rec[9]),
-                status=rec[10],
-            ))
+            where = f"line {reader.line_num}"
+            if len(rec) != len(CSV_HEADER):
+                raise ConfigParseError(
+                    f"{where}: expected {len(CSV_HEADER)} cells, got {len(rec)}")
+            try:
+                rows.append(SweepRow(
+                    sweep_value=float(rec[0]),
+                    scheme=rec[1],
+                    se_h=opt_float(rec[2]),
+                    se_l=opt_float(rec[3]),
+                    se_sum=opt_float(rec[4]),
+                    a_star=opt_float(rec[5]),
+                    tau_h_slots=opt_float(rec[6]),
+                    tau_l_slots=opt_float(rec[7]),
+                    stable=None if rec[8] == "" else rec[8] == "true",
+                    iterations=None if rec[9] == "" else int(rec[9]),
+                    status=rec[10],
+                ))
+            except ValueError as exc:
+                raise ConfigParseError(f"{where}: {exc}") from exc
     return rows
 
 

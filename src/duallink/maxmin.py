@@ -6,28 +6,48 @@ with concave f_i and convex twice-differentiable g_j, via the epigraph
 reformulation  maximize t  s.t.  t - f_i(x) <= 0.  Problems here are tiny
 (around ten variables and a dozen constraints), so plain dense Newton steps
 with backtracking are entirely adequate and keep the package dependency-free.
+
+The kernel reads a problem as stacked rows, the terms f_i first and then the
+constraints g_j.  A problem has ``n``, ``n_terms``, ``x0`` and ``bounds()``;
+``values(x)`` gives the row values and ``evaluate(x)`` the values, their
+Jacobian (one row per term or constraint) and the weighted row Hessian
+w -> sum_i w_i Hessian(row_i).  ``MaxMinProblem`` stacks per-row callables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 # x -> (value, gradient); treated as affine beyond first order.
 TermFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
-# x -> (value, gradient, hessian or None for affine).  A callable may also
-# carry a `value_only` attribute (x -> float); line searches use it to skip
-# derivative work.
+# x -> (value, gradient, hessian or None for affine).
 ConstraintFn = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray | None]]
+# Weights w over the rows -> sum_i w_i * Hessian(row_i), an n x n array.
+WeightedHessian = Callable[[np.ndarray], np.ndarray]
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max-iterations"
 STATUS_INFEASIBLE_START = "infeasible-start"
 
 _TINY = 1e-300
+
+
+class Rows(Protocol):
+    """A problem as stacked rows; see the module docstring."""
+
+    n: int
+    n_terms: int
+    x0: np.ndarray
+
+    def bounds(self) -> np.ndarray: ...
+
+    def values(self, x: np.ndarray) -> np.ndarray: ...
+
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, WeightedHessian]: ...
 
 
 @dataclass
@@ -56,6 +76,28 @@ class MaxMinProblem:
             return np.zeros(self.n)
         return np.asarray(self.lower_bounds, dtype=float)
 
+    @property
+    def n_terms(self) -> int:
+        return len(self.terms)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return self.evaluate(x)[0]
+
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, WeightedHessian]:
+        outs = [fn(x) for fn in (*self.terms, *self.constraints)]
+        vals = np.array([out[0] for out in outs], dtype=float)
+        jac = np.array([out[1] for out in outs], dtype=float).reshape(len(outs), self.n)
+        curved = [(i, out[2]) for i, out in enumerate(outs[self.n_terms:], self.n_terms)
+                  if out[2] is not None]
+
+        def weighted_hessian(w: np.ndarray) -> np.ndarray:
+            hess = np.zeros((self.n, self.n))
+            for i, h in curved:
+                hess += w[i] * h
+            return hess
+
+        return vals, jac, weighted_hessian
+
 
 # Fixed solver settings; deliberately unadventurous.
 _T_INIT = 1.0
@@ -82,13 +124,6 @@ class KernelResult:
     multipliers: dict = field(default_factory=dict)
 
 
-def _value_fn(con) -> Callable[[np.ndarray], float]:
-    fast = getattr(con, "value_only", None)
-    if fast is not None:
-        return fast
-    return lambda z: con(z)[0]
-
-
 def _solve_newton_system(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve H d = -grad with diagonal equilibration and a ridge fallback."""
     d = np.sqrt(np.maximum(np.diag(hess), 1e-300))
@@ -105,69 +140,46 @@ def _solve_newton_system(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return step / d
 
 
-def _rows(fns, sign: float, coef: float) -> list:
+def _center(z: np.ndarray, t_bar: float, f0_grad: np.ndarray, problem: Rows, rows: tuple,
+            lb: np.ndarray) -> tuple[np.ndarray, int]:
     """
-    Barrier rows over z = [x, e]: each (fn, value_fn, sign, coef) stands
-    for the inequality sign * fn(x) + coef * e < 0, where e is the epigraph
-    variable (main solve) or the slack (phase I).
+    Newton centering of t_bar * f0 + barrier at fixed barrier weight.
+
+    Over z = [x, e], rows = (sel, sign, coef) stands for the inequalities
+    sign * row(x) + coef * e < 0 of the problem rows ``sel``, where e is the
+    epigraph variable (main solve) or the slack (phase I).
     """
-    return [(fn, _value_fn(fn), sign, coef) for fn in fns]
-
-
-def _center(
-    z: np.ndarray,
-    t_bar: float,
-    f0_grad: np.ndarray,
-    rows: list,
-    lb: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Newton centering of t_bar * f0 + barrier at fixed barrier weight."""
+    sel, sign, coef = rows
     n = len(z) - 1
     bounded = np.isfinite(lb)
     lb_b = lb[bounded]
-    row = np.empty(n + 1)  # one row's gradient over z, rewritten per row
-    row_x = row[:n]
 
     def psi_at(point: np.ndarray) -> float:
         """Centering cost at point; +inf outside the barrier's domain."""
         slack_b = point[bounded] - lb_b
-        if slack_b.size and np.min(slack_b) <= 0.0:
+        if slack_b.size and slack_b.min() <= 0.0:
             return np.inf
-        total = t_bar * float(f0_grad @ point)
-        if slack_b.size:
-            total -= float(np.sum(np.log(slack_b)))
-        x, e = point[:n], float(point[n])
-        for _, vfn, sign, coef in rows:
-            v = sign * vfn(x) + coef * e
-            if v >= 0.0:
-                return np.inf
-            total -= math.log(-v)
-        return total
+        slack = -(sign * problem.values(point[:n])[sel] + coef * point[n])
+        if slack.size and slack.min() <= 0.0:
+            return np.inf
+        return t_bar * float(f0_grad @ point) - np.log(slack_b).sum() - np.log(slack).sum()
 
     iters = 0
     for _ in range(_MAX_NEWTON):
-        grad = t_bar * f0_grad.copy()
-        hess = np.zeros((n + 1, n + 1))
-        psi = t_bar * float(f0_grad @ z)
+        vals, jac, weighted_hessian = problem.evaluate(z[:n])
+        slack = np.maximum(-(sign * vals[sel] + coef * z[n]), _TINY)
         slack_b = z[bounded] - lb_b
-        if slack_b.size:
-            psi -= float(np.sum(np.log(slack_b)))
-            inv = 1.0 / slack_b
-            grad[bounded] -= inv
-            hess[bounded, bounded] += inv * inv
-        x, e = z[:n], float(z[n])
-        for fn, _, sign, coef in rows:
-            out = fn(x)
-            s = max(-(sign * out[0] + coef * e), _TINY)
-            psi -= math.log(s)
-            np.multiply(out[1], sign, out=row_x)
-            row[n] = coef
-            gs = row / s
-            grad += gs
-            hess += np.outer(gs, gs)
-            # Objective terms (sign -1) are affine beyond first order.
-            if sign > 0.0 and out[2] is not None:
-                hess[:n, :n] += out[2] / s
+        psi = t_bar * float(f0_grad @ z) - np.log(slack_b).sum() - np.log(slack).sum()
+        # Each barrier row's gradient over z, scaled by its inverse slack.
+        scaled = np.column_stack([jac[sel] * (sign / slack)[:, None], coef / slack])
+        inv = 1.0 / slack_b
+        grad = t_bar * f0_grad + scaled.sum(axis=0)
+        grad[bounded] -= inv
+        hess = scaled.T @ scaled
+        hess[bounded, bounded] += inv * inv
+        weights = np.zeros(len(vals))
+        weights[sel] = sign / slack
+        hess[:n, :n] += weighted_hessian(weights)
         step = _solve_newton_system(hess, grad)
         decrement = -float(grad @ step)
         if decrement <= 0.0 or 0.5 * decrement <= _NEWTON_TOL:
@@ -200,24 +212,24 @@ def _center(
     return z, iters
 
 
-def _barrier(
-    z: np.ndarray,
-    f0_grad: np.ndarray,
-    rows: list,
-    lb: np.ndarray,
-    stop: Callable[[np.ndarray], bool] | None = None,
-) -> tuple[np.ndarray, float, int, int, bool]:
+def _barrier(problem: Rows, x: np.ndarray, e: float, rows: tuple, direction: float,
+             stop: Callable[[np.ndarray], bool] | None = None
+             ) -> tuple[np.ndarray, float, int, int, bool]:
     """
-    Barrier outer loop: center, then multiply the barrier weight t by
-    _T_MULT, until ``stop(z)`` holds, the duality-gap bound m / t clears
-    _GAP_TOL, or _MAX_OUTER stages have run.  Returns (z, t, Newton steps,
-    stages, whether the gap bound cleared).
+    Barrier method over z = [x, e] for the objective direction * e: center,
+    then multiply the barrier weight t by _T_MULT, until ``stop(z)`` holds,
+    the duality-gap bound m / t clears _GAP_TOL, or _MAX_OUTER stages have
+    run.  Returns (z, t, Newton steps, stages, whether the gap bound cleared).
     """
-    m = len(rows) + int(np.isfinite(lb).sum())
+    z = np.append(x, e)
+    lb = np.append(problem.bounds(), -np.inf)
+    f0_grad = np.zeros(len(z))
+    f0_grad[-1] = direction
+    m = len(rows[1]) + int(np.isfinite(lb).sum())
     t_bar = _T_INIT
     newton = 0
     for stages in range(1, _MAX_OUTER + 1):
-        z, it = _center(z, t_bar, f0_grad, rows, lb)
+        z, it = _center(z, t_bar, f0_grad, problem, rows, lb)
         newton += it
         if stop is not None and stop(z):
             break
@@ -227,7 +239,11 @@ def _barrier(
     return z, t_bar, newton, stages, False
 
 
-def _phase_one(x: np.ndarray, problem: MaxMinProblem) -> tuple[np.ndarray, bool, int]:
+def _max_violation(problem: Rows, x: np.ndarray) -> float:
+    return float(max(problem.values(x)[problem.n_terms:], default=-1.0))
+
+
+def _phase_one(x: np.ndarray, problem: Rows) -> tuple[np.ndarray, bool, int]:
     """
     Minimise the maximum constraint violation to recover a strictly
     feasible point.  Works on w = [x, s] with constraints g_j(x) - s <= 0
@@ -240,24 +256,17 @@ def _phase_one(x: np.ndarray, problem: MaxMinProblem) -> tuple[np.ndarray, bool,
     bounded = np.isfinite(lb)
     x[bounded] = np.maximum(x[bounded], lb[bounded] + 1e-9)
 
-    rows = _rows(problem.constraints, 1.0, -1.0)
-
-    def max_violation(point: np.ndarray) -> float:
-        return max((vfn(point) for _, vfn, _, _ in rows), default=-1.0)
-
-    s0 = max(max_violation(x), 0.0) + 1.0
-    w = np.concatenate([x, [s0]])
-    f0_grad = np.zeros(n + 1)
-    f0_grad[n] = 1.0  # minimise s
-    lb_w = np.concatenate([lb, [-np.inf]])
-
-    w, _, newton_total, _, _ = _barrier(
-        w, f0_grad, rows, lb_w, stop=lambda point: max_violation(point[:n]) < -1e-12
+    cons = problem.values(x)[problem.n_terms:]
+    rows = (slice(problem.n_terms, None), np.ones(cons.size), -np.ones(cons.size))
+    s0 = max(float(max(cons, default=-1.0)), 0.0) + 1.0
+    w, _, newton_total, _, _ = _barrier(  # minimise s
+        problem, x, s0, rows, 1.0,
+        stop=lambda point: _max_violation(problem, point[:n]) < -1e-12,
     )
-    return w[:n], max_violation(w[:n]) < 0.0, newton_total
+    return w[:n], _max_violation(problem, w[:n]) < 0.0, newton_total
 
 
-def solve_maxmin(problem: MaxMinProblem) -> KernelResult:
+def solve_maxmin(problem: Rows) -> KernelResult:
     """
     Maximise the minimum of the objective terms subject to the constraints.
 
@@ -267,7 +276,7 @@ def solve_maxmin(problem: MaxMinProblem) -> KernelResult:
     tolerances, ``infeasible-start`` when phase I cannot find a strictly
     feasible point, and ``max-iterations`` otherwise.
     """
-    n = problem.n
+    n, n_t = problem.n, problem.n_terms
     lb = problem.bounds()
     x = np.asarray(problem.x0, dtype=float).copy()
     if x.shape != (n,):
@@ -275,76 +284,47 @@ def solve_maxmin(problem: MaxMinProblem) -> KernelResult:
 
     newton_total = 0
     bounded = np.isfinite(lb)
-    strictly_ok = np.all(x[bounded] > lb[bounded]) and all(
-        _value_fn(c)(x) < 0.0 for c in problem.constraints
-    )
-    if not strictly_ok:
+    if not (np.all(x[bounded] > lb[bounded]) and _max_violation(problem, x) < 0.0):
         x, ok, it = _phase_one(x, problem)
         newton_total += it
         if not ok:
-            value = min(t(x)[0] for t in problem.terms)
-            viol = max((_value_fn(c)(x) for c in problem.constraints), default=0.0)
             return KernelResult(
-                x=x,
-                value=value,
-                max_violation=max(viol, 0.0),
-                kkt_residual=np.inf,
-                newton_iters=newton_total,
-                outer_iters=0,
-                status=STATUS_INFEASIBLE_START,
-            )
+                x=x, value=float(min(problem.values(x)[:n_t])),
+                max_violation=max(_max_violation(problem, x), 0.0), kkt_residual=np.inf,
+                newton_iters=newton_total, outer_iters=0, status=STATUS_INFEASIBLE_START)
 
-    rows = _rows(problem.terms, -1.0, 1.0) + _rows(problem.constraints, 1.0, 0.0)
-    t0 = min(t(x)[0] for t in problem.terms)
-    z = np.concatenate([x, [t0 - max(1.0, 0.1 * abs(t0))]])
-    lb_z = np.concatenate([lb, [-np.inf]])
-    f0_grad = np.zeros(n + 1)
-    f0_grad[n] = -1.0  # maximise t
-    z, t_bar, it, outer, gap_ok = _barrier(z, f0_grad, rows, lb_z)
+    vals = problem.values(x)
+    m_c = len(vals) - n_t
+    # Terms: e - f_i(x) < 0; constraints: g_j(x) < 0.
+    sign = np.concatenate([-np.ones(n_t), np.ones(m_c)])
+    coef = np.concatenate([np.ones(n_t), np.zeros(m_c)])
+    t0 = float(min(vals[:n_t]))
+    z, t_bar, it, outer, gap_ok = _barrier(  # maximise t
+        problem, x, t0 - max(1.0, 0.1 * abs(t0)), (slice(None), sign, coef), -1.0)
     newton_total += it
 
-    # Every row once at x*: terms first, then constraints.
     x_star, e = z[:n], float(z[n])
-    outs = [fn(x_star) for fn, *_ in rows]
-    n_terms = len(problem.terms)
-    value = min(out[0] for out in outs[:n_terms])
-    viol = max((out[0] for out in outs[n_terms:]), default=0.0)
-
-    lam_cons = np.array([1.0 / (t_bar * max(-(sign * out[0] + coef * e), _TINY))
-                         for out, (_, _, sign, coef) in zip(outs, rows)])
+    vals, jac, _ = problem.evaluate(x_star)
+    viol = max(float(max(vals[n_t:], default=-1.0)), 0.0)
+    lam_rows = 1.0 / (t_bar * np.maximum(-(sign * vals + coef * e), _TINY))
     lam_bounds = np.zeros(n)
-    slack_b = z[:n][bounded] - lb[bounded]
+    slack_b = x_star[bounded] - lb[bounded]
     lam_bounds[bounded] = 1.0 / (t_bar * np.maximum(slack_b, _TINY))
-    multipliers = {
-        "terms": lam_cons[:n_terms],
-        "constraints": lam_cons[n_terms:],
-        "bounds": lam_bounds,
-    }
+    multipliers = {"terms": lam_rows[:n_t], "constraints": lam_rows[n_t:], "bounds": lam_bounds}
     kkt = kkt_residual(problem, x_star, multipliers)
     # The residual is judged relative to the size of the terms it cancels;
     # in raw units a badly scaled problem leaves dual noise proportional to
     # the multiplier magnitudes even at an optimal point.
-    kkt_scale = 1.0 + float(np.sum(np.abs(lam_bounds)))
-    for lam, out in zip(lam_cons, outs):
-        kkt_scale += lam * float(np.linalg.norm(out[1]))
-    status = (
-        STATUS_CONVERGED
-        if gap_ok and kkt <= KKT_TOL * kkt_scale and max(viol, 0.0) <= _FEAS_TOL
-        else STATUS_MAX_ITERATIONS
-    )
+    kkt_scale = (1.0 + float(np.sum(np.abs(lam_bounds)))
+                 + float(lam_rows @ np.linalg.norm(jac, axis=1)))
+    ok = gap_ok and kkt <= KKT_TOL * kkt_scale and viol <= _FEAS_TOL
     return KernelResult(
-        x=x_star,
-        value=value,
-        max_violation=max(viol, 0.0),
-        kkt_residual=kkt,
-        newton_iters=newton_total,
-        outer_iters=outer,
-        status=status,
-        multipliers=multipliers,
-    )
+        x=x_star, value=float(min(vals[:n_t])), max_violation=viol, kkt_residual=kkt,
+        newton_iters=newton_total, outer_iters=outer,
+        status=STATUS_CONVERGED if ok else STATUS_MAX_ITERATIONS, multipliers=multipliers)
 
 
-def kkt_residual(problem: MaxMinProblem, x: np.ndarray, multipliers: dict) -> float:
+def kkt_residual(problem: Rows, x: np.ndarray, multipliers: dict) -> float:
     """
     KKT residual of the epigraph problem at (x, t = min_i f_i(x)).
 
@@ -356,28 +336,16 @@ def kkt_residual(problem: MaxMinProblem, x: np.ndarray, multipliers: dict) -> fl
     lam_g = np.asarray(multipliers["constraints"], dtype=float)
     lam_b = np.asarray(multipliers["bounds"], dtype=float)
     lb = problem.bounds()
+    bounded = np.isfinite(lb)
+    n_t = problem.n_terms
 
-    term_vals = []
-    term_grads = []
-    for term in problem.terms:
-        v, g = term(x)
-        term_vals.append(v)
-        term_grads.append(g)
-    t = min(term_vals)
-
-    stat_x = np.zeros(problem.n)
-    comp = 0.0
-    for lam, v, g in zip(lam_t, term_vals, term_grads):
-        stat_x -= lam * g
-        comp += abs(lam * (t - v))
-    for lam, con in zip(lam_g, problem.constraints):
-        v, g, _ = con(x)
-        stat_x += lam * g
-        comp += abs(lam * v)
-    for k in range(problem.n):
-        if np.isfinite(lb[k]):
-            stat_x[k] -= lam_b[k]
-            comp += abs(lam_b[k] * (lb[k] - x[k]))
+    vals, jac, _ = problem.evaluate(x)
+    term_vals = vals[:n_t]
+    stat_x = lam_g @ jac[n_t:] - lam_t @ jac[:n_t]
+    stat_x[bounded] -= lam_b[bounded]
+    comp = (np.sum(np.abs(lam_t * (np.min(term_vals) - term_vals)))
+            + np.sum(np.abs(lam_g * vals[n_t:]))
+            + np.sum(np.abs(lam_b[bounded] * (lb[bounded] - x[bounded]))))
     stat_t = -1.0 + lam_t.sum()
     stationarity = float(np.sqrt(np.sum(stat_x * stat_x) + stat_t * stat_t))
-    return stationarity + comp
+    return stationarity + float(comp)

@@ -57,8 +57,11 @@ def oma_rates(
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    se_h, se_l, _, _ = _phases(scenario, lc_ris_assist)
-    return tau * scenario.bandwidth * se_h, (1.0 - tau) * scenario.bandwidth * se_l
+    return _split_rates(tau, scenario.bandwidth, *_phases(scenario, lc_ris_assist)[:2])
+
+
+def _split_rates(tau: float, bandwidth: float, se_h: float, se_l: float) -> tuple[float, float]:
+    return tau * bandwidth * se_h, (1.0 - tau) * bandwidth * se_l
 
 
 def oma_optimize(
@@ -78,7 +81,7 @@ def oma_optimize(
     """
     alpha = scenario.alpha if alpha is None else alpha
     arrival = scenario.arrival_rate if arrival is None else arrival
-    _, _, a_h, a_l = _phases(scenario, lc_ris_assist)
+    se_h, se_l, a_h, a_l = _phases(scenario, lc_ris_assist)
 
     def objective(tau: float) -> float:
         gap_h = a_h * tau - alpha * arrival
@@ -102,7 +105,7 @@ def oma_optimize(
                 candidates.append(tau_eq)
 
     tau_best = max(candidates, key=objective)
-    rate_h, rate_l = oma_rates(tau_best, scenario, lc_ris_assist=lc_ris_assist)
+    rate_h, rate_l = _split_rates(tau_best, scenario.bandwidth, se_h, se_l)
     gap_h = a_h * tau_best - alpha * arrival
     gap_l = a_l * (1.0 - tau_best) - (1.0 - alpha) * arrival
     return OmaResult(

@@ -108,7 +108,7 @@ def test_transform_identity_random_points(scenario, gains):
 
 def _subproblem(scenario, gains, p, mu, alt_hc_surrogate=False, alpha=0.1, arrival=700.0):
     """The allocator's inner problem in gap form, as the SCA loop builds it."""
-    w_d, w_r, noise_w, serv = _coeffs(scenario, gains)
+    w_d, w_r, noise_w, serv = _coeffs(scenario)
     return _build_subproblem(
         p, mu, scenario, (alpha, 1.0 - alpha),
         (-alpha * alpha * arrival, -(1.0 - alpha) ** 2 * arrival),
@@ -134,42 +134,87 @@ def test_sca_surrogates_are_the_checked_surrogates(scenario, gains, alt):
         x = np.zeros(8)
         x[:4] = p.as_array() / scenario.p_max
         x[6], x[7] = gamma_h, gamma_l
-        sur_h0, sur_h1, sur_l = _subproblem(scenario, gains, p, mu, alt).constraints[2:5]
+        sub = _subproblem(scenario, gains, p, mu, alt)
+        # Rows: terms, two rate caps, the three surrogates, the budget.
+        sur_h0, sur_h1, sur_l = sub.values(x)[sub.n_terms + 2:sub.n_terms + 5]
         checks = (
             (sur_h0, g_h(p, gamma_h, mu.mu_h0, 0, gains, n_b, n_r, alt), gamma_h),
             (sur_h1, g_h(p, gamma_h, mu.mu_h1, 1, gains, n_b, n_r, alt), gamma_h),
             (sur_l, g_l(p, gamma_l, mu.mu_l, gains, n_b, n_r), gamma_l),
         )
-        for con, ref, gamma in checks:
-            tol = 1e-9 * max(1.0, abs(gamma))
-            assert abs(con(x)[0] - ref) <= tol
-            assert abs(con.value_only(x) - ref) <= tol
+        for value, ref, gamma in checks:
+            assert abs(value - ref) <= 1e-9 * max(1.0, abs(gamma))
 
 
-def test_value_only_fast_path_matches_full_calls(scenario, gains):
-    # Line searches use a row's value_only where it has one; with every
-    # value_only stripped the kernel must retrace the same Newton path,
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
+def test_stacked_rows_match_finite_differences(scenario, gains, alpha):
+    # evaluate() returns the values() the line searches read, with their
+    # Jacobian and weighted row Hessian.  Central differences with steps
+    # of 1e-4 x_k are compared in the variables' own scale (diag(x) J and
+    # diag(x) H diag(x)), each row's Hessian on its own.
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        p = PowerAllocation(*(rng.uniform(0.05, 1.0, 4) * scenario.p_max / 4))
+        mu = optimal_mu(p, gains, scenario.n_b, scenario.n_r)
+        sub = _subproblem(scenario, gains, p, mu, alpha=alpha)
+        x = np.concatenate([rng.uniform(0.05, 0.24, 4), rng.uniform(0.1, 5.0, 2),
+                            [rng.uniform(0.1, 20.0), rng.uniform(1.0, 2e4)]])
+        vals, jac, weighted_hessian = sub.evaluate(x)
+        assert np.array_equal(vals, sub.values(x))
+        h = 1e-4 * x
+        steps = np.diag(h)
+        jac_fd = np.column_stack([(sub.values(x + d) - sub.values(x - d)) / (2.0 * hk)
+                                  for d, hk in zip(steps, h)])
+        assert np.abs((jac_fd - jac) * x).max() <= 1e-6 * np.abs(jac * x).max()
+
+        units = np.eye(len(vals))
+        for i, unit in enumerate(units):
+            def row(y, i=i):
+                return sub.values(y)[i]
+
+            hess_fd = np.array([[
+                (row(x + di + dj) - row(x + di - dj) - row(x - di + dj) + row(x - di - dj))
+                / (4.0 * hi * hj) for dj, hj in zip(steps, h)] for di, hi in zip(steps, h)])
+            scaled = weighted_hessian(unit) * np.outer(x, x)
+            err = np.abs(hess_fd * np.outer(x, x) - scaled).max()
+            # Second differences carry a rounding floor near 2e-8 |row|.
+            assert err <= 1e-6 * np.abs(scaled).max() + 1e-7 * abs(vals[i])
+        w = rng.uniform(0.5, 2.0, len(vals))
+        np.testing.assert_allclose(
+            weighted_hessian(w), sum(wi * weighted_hessian(u) for wi, u in zip(w, units)),
+            rtol=1e-12, atol=0.0)
+
+
+def test_array_rows_match_per_row_callables(scenario, gains):
+    # The allocator's stacked rows and a MaxMinProblem of per-row callables
+    # over the same rows are one problem: the kernel reaches the same point
     # from the built start and through phase I from an infeasible one.
     p = PowerAllocation(0.001, 0.004, 0.003, 0.002)
     mu = optimal_mu(p, gains, scenario.n_b, scenario.n_r)
-    fast = _subproblem(scenario, gains, p, mu)
+    sub = _subproblem(scenario, gains, p, mu)
 
-    def strip(fn):
-        return lambda x: fn(x)
+    def row(i):
+        def fn(x):
+            vals, jac, weighted_hessian = sub.evaluate(x)
+            unit = np.zeros(len(vals))
+            unit[i] = 1.0
+            return vals[i], jac[i], weighted_hessian(unit)
+        return fn
 
+    m = len(sub.values(sub.x0))
+    terms = [lambda x, fn=row(i): fn(x)[:2] for i in range(sub.n_terms)]
+    constraints = [row(i) for i in range(sub.n_terms, m)]
     for shift in (0.0, 0.3):
-        fast.x0 = fast.x0 + shift  # 0.3 breaks the power budget
-        slow = MaxMinProblem(
-            n=fast.n,
-            terms=[strip(t) for t in fast.terms],
-            constraints=[strip(c) for c in fast.constraints],
-            x0=fast.x0.copy(),
-        )
-        assert not any(hasattr(f, "value_only") for f in [*slow.terms, *slow.constraints])
-        a, b = solve_maxmin(fast), solve_maxmin(slow)
-        assert np.array_equal(a.x, b.x)
-        assert a.value == b.value
-        assert a.newton_iters == b.newton_iters
+        x0 = sub.x0 + shift
+        assert (sub.values(x0)[-1] > 0.0) == (shift > 0.0)  # the power budget
+        arrays = replace(sub, x0=x0)
+        callables = MaxMinProblem(n=8, terms=terms, constraints=constraints, x0=x0.copy())
+        a, b = solve_maxmin(arrays), solve_maxmin(callables)
+        assert a.status == b.status == "converged"
+        np.testing.assert_allclose(a.x, b.x, rtol=0.0, atol=1e-9)
+        # Same Newton path up to rounding: dropping the per-row Hessians
+        # would cost about 70% more steps.
+        assert abs(a.newton_iters - b.newton_iters) <= 0.1 * a.newton_iters
 
 
 def test_objective_zero_powers(scenario):

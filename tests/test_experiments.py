@@ -18,7 +18,7 @@ from duallink import (
     tipping_point,
 )
 from duallink.cli import main
-from duallink.experiments import default_config, write_rows
+from duallink.experiments import CSV_HEADER, default_config, write_rows
 
 SE_SUM_LC_ONLY = 9.306028068406784
 SE_SUM_HC_ONLY = 1.4559972791574074
@@ -83,6 +83,28 @@ def test_parse_error_distinct(tmp_path):
 def test_missing_file_distinct(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_config(str(tmp_path / "nope.cfg"))
+
+
+_CSV_HEAD = ",".join(CSV_HEADER) + "\n"
+_CSV_ROW = "0.1,mcsc,0.5,8.0,8.5,850.0,,,,5,ok\n"
+
+
+def test_read_rows_empty_file(tmp_path):
+    with pytest.raises(ConfigParseError, match="line 1"):
+        read_rows(write(tmp_path, "empty.csv", ""))
+
+
+def test_read_rows_short_row(tmp_path):
+    text = _CSV_HEAD + _CSV_ROW + "0.2,mcsc,0.5\n"
+    with pytest.raises(ConfigParseError, match="line 3"):
+        read_rows(write(tmp_path, "short.csv", text))
+
+
+def test_read_rows_non_numeric_cell(tmp_path):
+    text = _CSV_HEAD + _CSV_ROW.replace("8.5", "lots")
+    with pytest.raises(ConfigParseError, match="line 2"):
+        read_rows(write(tmp_path, "bad.csv", text))
+    assert len(read_rows(write(tmp_path, "good.csv", _CSV_HEAD + _CSV_ROW))) == 1
 
 
 def test_grid_must_increase(tmp_path):
