@@ -38,37 +38,31 @@ from .link import (
     exact_sinrs,
     link_gains,
     noise_power,
-    rates,
     ris_gain,
-    sample_blockage,
     sample_blockage_batch,
 )
 from .maxmin import KernelResult, MaxMinProblem, kkt_residual, solve_maxmin
 from .oma import OmaResult, oma_max_feasible_arrival, oma_optimize, oma_rates
 from .queuesim import (
     DelayStats,
-    QueueState,
     QueueTrace,
-    classify_arrivals,
     mean_delay,
     run_simulation,
-    step_queues,
 )
 
 __all__ = [
     "AuxiliaryMu", "BlockageState", "ConfigParseError",
     "ConfigValidationError", "DelayStats", "ExperimentConfig", "KernelResult",
-    "LinkGains", "MaxMinProblem", "OmaResult", "PowerAllocation",
-    "QueueState", "QueueTrace", "ScenarioParams", "SolveResult", "SweepRow",
-    "approx_sinrs", "array_response", "brute_force_oracle", "capacity_allocation",
-    "classify_arrivals", "default_config", "default_geometry", "direct_gain",
-    "exact_sinrs", "g_h", "g_l", "kkt_residual", "link_gains", "load_config",
-    "max_feasible_arrival", "mean_delay", "noise_power", "objective_for_powers",
+    "LinkGains", "MaxMinProblem", "OmaResult", "PowerAllocation", "QueueTrace",
+    "ScenarioParams", "SolveResult", "SweepRow", "approx_sinrs",
+    "array_response", "brute_force_oracle", "capacity_allocation",
+    "default_config", "default_geometry", "direct_gain", "exact_sinrs", "g_h",
+    "g_l", "kkt_residual", "link_gains", "load_config", "max_feasible_arrival",
+    "mean_delay", "noise_power", "objective_for_powers",
     "oma_max_feasible_arrival", "oma_optimize", "oma_rates", "optimal_mu",
-    "rates", "read_rows", "ris_gain", "run_simulation", "run_sweep",
-    "sample_blockage", "sample_blockage_batch", "sca_power_allocation",
-    "solve_maxmin", "spectral_efficiency", "step_queues", "tipping_point",
-    "weighted_min_gap",
+    "read_rows", "ris_gain", "run_simulation", "run_sweep",
+    "sample_blockage_batch", "sca_power_allocation", "solve_maxmin",
+    "spectral_efficiency", "tipping_point", "weighted_min_gap",
 ]
 
 __version__ = "0.1.0"

@@ -103,17 +103,14 @@ def g_h(
     gains: LinkGains,
     n_b: int,
     n_r: int,
-    alt_hc_surrogate: bool = False,
 ) -> float:
     """
     HC surrogate constraint value at fixed multiplier mu.
 
     Nonpositive values certify that gamma_h is achievable at the given
     powers for the given direct-route availability (reflected route up).
-    ``alt_hc_surrogate`` switches the direct-beam terms to the reflected
-    coefficient, an alternate pairing kept only for comparison.
     """
-    form = decoding_forms(*route_coefficients(gains, n_b, n_r), alt_hc_surrogate)[beta_d]
+    form = decoding_forms(*route_coefficients(gains, n_b, n_r))[beta_d]
     return _surrogate(gamma_h, mu, *ratio_parts(form, astuple(p), gains.noise_w))
 
 
@@ -130,16 +127,9 @@ def g_l(
     return _surrogate(gamma_l, mu, *ratio_parts(form, astuple(p), gains.noise_w))
 
 
-def optimal_mu(
-    p: PowerAllocation,
-    gains: LinkGains,
-    n_b: int,
-    n_r: int,
-    alt_hc_surrogate: bool = False,
-) -> AuxiliaryMu:
+def optimal_mu(p: PowerAllocation, gains: LinkGains, n_b: int, n_r: int) -> AuxiliaryMu:
     """Stationary multipliers sqrt(signal)/(interference + noise) per ratio."""
-    forms = decoding_forms(*route_coefficients(gains, n_b, n_r), alt_hc_surrogate)
-    return _multipliers(p, forms, gains.noise_w)
+    return _multipliers(p, decoding_forms(*route_coefficients(gains, n_b, n_r)), gains.noise_w)
 
 
 def _multipliers(p: PowerAllocation, forms, noise_w: float) -> AuxiliaryMu:
@@ -303,7 +293,6 @@ def sca_power_allocation(
     arrival: float | None = None,
     *,
     stop_when_nonneg: bool = False,
-    alt_hc_surrogate: bool = False,
 ) -> SolveResult:
     """
     Iterative allocator for min(alpha gap_h, (1 - alpha) gap_l): alternate
@@ -312,23 +301,18 @@ def sca_power_allocation(
 
     The reported objective sequence is the true closed-form objective at the
     accepted iterates and is nondecreasing up to solver noise; an iterate
-    that fails to improve is rejected and iteration stops.  With
-    ``stop_when_nonneg`` the loop exits as soon as the objective reaches
-    zero, which is all a feasibility test needs.
+    that makes the objective worse is rejected and iteration stops with
+    ``converged`` false.  With ``stop_when_nonneg`` the loop exits as soon
+    as the objective reaches zero, which is all a feasibility test needs.
     """
     alpha = scenario.alpha if alpha is None else alpha
     arrival = scenario.arrival_rate if arrival is None else arrival
     return _sca(scenario, alpha, arrival, (alpha, 1.0 - alpha),
                 (-alpha * alpha * arrival, -(1.0 - alpha) ** 2 * arrival),
-                stop_when_nonneg=stop_when_nonneg, alt_hc_surrogate=alt_hc_surrogate)
+                stop_when_nonneg=stop_when_nonneg)
 
 
-def capacity_allocation(
-    scenario: ScenarioParams,
-    alpha: float | None = None,
-    *,
-    alt_hc_surrogate: bool = False,
-) -> SolveResult:
+def capacity_allocation(scenario: ScenarioParams, alpha: float | None = None) -> SolveResult:
     """
     Largest stabilisable arrival rate a* and the allocation attaining it.
 
@@ -342,20 +326,18 @@ def capacity_allocation(
     alpha = scenario.alpha if alpha is None else alpha
     weights = (1.0 / alpha if alpha > 0.0 else 0.0,
                1.0 / (1.0 - alpha) if alpha < 1.0 else 0.0)
-    res = _sca(scenario, alpha, 0.0, weights, (0.0, 0.0), alt_hc_surrogate=alt_hc_surrogate)
+    res = _sca(scenario, alpha, 0.0, weights, (0.0, 0.0))
     res.gap_h, res.gap_l = objective_for_powers(res.power, scenario, alpha, res.objective)[2:4]
     return res
 
 
-def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False,
-         alt_hc_surrogate=False):
+def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False):
     """SCA loop for min(w_h gap_h, w_l gap_l) at ``arrival``; offsets: negated weighted demands."""
     w_d, w_r, noise_w, serv = _coeffs(scenario)
-    true_forms = decoding_forms(w_d, w_r)
-    forms = decoding_forms(w_d, w_r, alt_hc_surrogate)
+    forms = decoding_forms(w_d, w_r)
 
     def closed_form(p):
-        return _evaluate(p, true_forms, noise_w, serv, scenario, alpha, arrival, weights)
+        return _evaluate(p, forms, noise_w, serv, scenario, alpha, arrival, weights)
 
     quarter = scenario.p_max / 4.0
     p = PowerAllocation(quarter, quarter, quarter, quarter)
@@ -384,8 +366,7 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False,
         evals_new = closed_form(p_new)
         obj_new = evals_new[4]
         if obj_new < obj - 1e-9 * max(1.0, abs(obj)):
-            converged = True  # no further progress available from this surrogate
-            break
+            break  # a worse iterate: reject it and stop unconverged
         p, evals = p_new, evals_new
         history.append(obj_new)
         if abs(obj_new - obj) <= _SCA_REL_TOL * max(1.0, abs(obj_new)):
@@ -393,7 +374,7 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False,
             break
 
     rate_h, rate_l, gap_h, gap_l, obj = evals
-    sinr_h0, sinr_h1, sinr_l = decoding_sinrs(true_forms, astuple(p), noise_w)
+    sinr_h0, sinr_h1, sinr_l = decoding_sinrs(forms, astuple(p), noise_w)
     return SolveResult(
         power=p,
         rate_h=rate_h,
@@ -459,11 +440,6 @@ def brute_force_oracle(
     return PowerAllocation(*best_p), best_obj
 
 
-def max_feasible_arrival(
-    scenario: ScenarioParams,
-    alpha: float | None = None,
-    *,
-    alt_hc_surrogate: bool = False,
-) -> float:
+def max_feasible_arrival(scenario: ScenarioParams, alpha: float | None = None) -> float:
     """Largest arrival rate the allocator can stabilise: capacity_allocation's a*."""
-    return capacity_allocation(scenario, alpha, alt_hc_surrogate=alt_hc_surrogate).objective
+    return capacity_allocation(scenario, alpha).objective

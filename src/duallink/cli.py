@@ -16,6 +16,7 @@ from dataclasses import replace
 
 from .allocation import brute_force_oracle, sca_power_allocation
 from .experiments import (
+    MIN_DELAY_HORIZON,
     ConfigParseError,
     ConfigValidationError,
     ExperimentConfig,
@@ -76,9 +77,7 @@ def _print_solve(config) -> None:
     schemes = ["mcsc", "oma"] if config.scheme == "both" else [config.scheme]
     for scheme in schemes:
         if scheme == "mcsc":
-            res = sca_power_allocation(
-                scenario, alt_hc_surrogate=config.alt_hc_surrogate
-            )
+            res = sca_power_allocation(scenario)
             p = res.power
             print(f"[mcsc] alpha={scenario.alpha} arrival={scenario.arrival_rate}")
             print(f"  powers mW: hc_direct={p.p_h_d*1e3:.6f} hc_ris={p.p_h_r*1e3:.6f} "
@@ -100,7 +99,7 @@ def _print_oracle(config, grid_n: int) -> None:
     if not 2 <= grid_n <= _MAX_GRID_N:
         raise ConfigValidationError(f"--grid-n must be in 2..{_MAX_GRID_N}, got {grid_n}")
     scenario = config.scenario
-    res = sca_power_allocation(scenario, alt_hc_surrogate=config.alt_hc_surrogate)
+    res = sca_power_allocation(scenario)
     p_best, obj_best = brute_force_oracle(scenario, grid_n=grid_n)
     print(f"allocator objective = {res.objective:.6f} ({res.iterations} iterations)")
     print(f"oracle    objective = {obj_best:.6f} (grid {grid_n})")
@@ -110,11 +109,11 @@ def _print_oracle(config, grid_n: int) -> None:
 
 
 def _run_simulate(config) -> None:
+    if config.horizon < MIN_DELAY_HORIZON:
+        raise ConfigValidationError(f"horizon must be >= {MIN_DELAY_HORIZON} to simulate delays")
     scenario = config.scenario
     scheme = "mcsc" if config.scheme == "both" else config.scheme
-    rate_h, rate_l, _ = _operating_rates(scenario, scheme,
-                                         alt_hc_surrogate=config.alt_hc_surrogate,
-                                         oma_lc_ris=config.oma_lc_ris)
+    rate_h, rate_l, _ = _operating_rates(scenario, scheme, oma_lc_ris=config.oma_lc_ris)
     trace = run_simulation(scenario, (rate_h, rate_l), config.horizon, config.seed)
     out = config.out if config.out != "sweep.csv" else "trace.csv"
     with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -29,9 +30,15 @@ CSV_HEADER = [
     "tau_h_slots", "tau_l_slots", "stable", "iterations", "status",
 ]
 
+# The text cells read_rows accepts, by column; status is ok or error:<Name>.
+_CELL_CHOICES = {1: ("mcsc", "oma"), 8: ("", "true", "false")}
+_STATUS = re.compile(r"ok|error:[A-Za-z_]\w*")
+
 _AXES = ("alpha", "q_d", "n_ris", "arrival")
 _SCHEMES = ("mcsc", "oma", "both")
 _METRICS = ("se", "delay", "both")
+# Shortest queue simulation whose delay estimate is reported.
+MIN_DELAY_HORIZON = 1000
 
 
 class ConfigParseError(Exception):
@@ -56,7 +63,6 @@ class ExperimentConfig:
     out: str = "sweep.csv"
     workers: int = 1
     se_weighted: bool = True
-    alt_hc_surrogate: bool = False
     oma_lc_ris: bool = False
 
     def __post_init__(self):
@@ -72,8 +78,9 @@ class ExperimentConfig:
             raise ConfigValidationError("sweep grid must be strictly increasing")
         if self.axis == "n_ris" and not all(float(v).is_integer() for v in self.grid):
             raise ConfigValidationError("n_ris grid values must be integers")
-        if self.metrics in ("delay", "both") and self.horizon < 1000:
-            raise ConfigValidationError("horizon must be >= 1000 for delay experiments")
+        if self.metrics in ("delay", "both") and self.horizon < MIN_DELAY_HORIZON:
+            raise ConfigValidationError(
+                f"horizon must be >= {MIN_DELAY_HORIZON} for delay experiments")
         if self.horizon < 1:
             raise ConfigValidationError("horizon must be >= 1")
         if self.workers < 1:
@@ -118,7 +125,7 @@ _SCENARIO_CONVERSIONS = {
 _SCENARIO_INTS = {"n_b", "n_r"}
 _EXPERIMENT_STRS = {"axis", "scheme", "metrics", "out"}
 _EXPERIMENT_INTS = {"horizon", "seed", "workers"}
-_EXPERIMENT_BOOLS = {"se_weighted", "alt_hc_surrogate", "oma_lc_ris"}
+_EXPERIMENT_BOOLS = {"se_weighted", "oma_lc_ris"}
 
 
 def _parse_bool(key: str, raw: str) -> bool:
@@ -155,7 +162,7 @@ def load_config(path: str) -> ExperimentConfig:
     given in GHz, p_max in dBm, noise_psd in dBm/Hz, g_b and g_u in dB, all
     other values in their SI units.  Experiment keys: axis, grid (comma
     separated), scheme, metrics, horizon, seed, out, workers, se_weighted,
-    alt_hc_surrogate, oma_lc_ris.  Lines starting with '#' are ignored.
+    oma_lc_ris.  Lines starting with '#' are ignored.
     An empty file yields the default scenario and sweep.
 
     Raises FileNotFoundError, ConfigParseError, or ConfigValidationError.
@@ -226,7 +233,6 @@ def spectral_efficiency(
     scheme: str = "mcsc",
     *,
     weighted: bool = True,
-    alt_hc_surrogate: bool = False,
     oma_lc_ris: bool = False,
 ) -> tuple[float, float, float]:
     """
@@ -238,11 +244,7 @@ def spectral_efficiency(
     hertz; otherwise the raw Shannon rates are reported.
     """
     se_h, se_l, *_ = _capacity_point(
-        scenario, alpha, scheme,
-        weighted=weighted,
-        alt_hc_surrogate=alt_hc_surrogate,
-        oma_lc_ris=oma_lc_ris,
-    )
+        scenario, alpha, scheme, weighted=weighted, oma_lc_ris=oma_lc_ris)
     return se_h, se_l, se_h + se_l
 
 
@@ -252,12 +254,11 @@ def _capacity_point(
     scheme: str,
     *,
     weighted: bool,
-    alt_hc_surrogate: bool,
     oma_lc_ris: bool,
 ) -> tuple[float, float, float, int]:
     """(se_h, se_l, a_star, iterations) at the feasibility boundary."""
     if scheme == "mcsc":
-        res = capacity_allocation(scenario, alpha, alt_hc_surrogate=alt_hc_surrogate)
+        res = capacity_allocation(scenario, alpha)
         a_star, rate_h, rate_l, iters = res.objective, res.rate_h, res.rate_l, res.iterations
     elif scheme == "oma":
         a_star = oma_max_feasible_arrival(scenario, alpha, lc_ris_assist=oma_lc_ris)
@@ -276,15 +277,11 @@ def _capacity_point(
 
 
 def _operating_rates(
-    scenario: ScenarioParams,
-    scheme: str,
-    *,
-    alt_hc_surrogate: bool,
-    oma_lc_ris: bool,
+    scenario: ScenarioParams, scheme: str, *, oma_lc_ris: bool
 ) -> tuple[float, float, int]:
     """Stream rates [bit/s] at the configured traffic, for queue simulation."""
     if scheme == "mcsc":
-        res = sca_power_allocation(scenario, alt_hc_surrogate=alt_hc_surrogate)
+        res = sca_power_allocation(scenario)
         return res.rate_h, res.rate_l, res.iterations
     res = oma_optimize(scenario, lc_ris_assist=oma_lc_ris)
     return res.rate_h, res.rate_l, 0
@@ -310,17 +307,12 @@ def _sweep_point(args: tuple[ExperimentConfig, int, float]) -> list[SweepRow]:
             if config.metrics in ("se", "both"):
                 se_h, se_l, a_star, iterations = _capacity_point(
                     scenario, scenario.alpha, scheme,
-                    weighted=config.se_weighted,
-                    alt_hc_surrogate=config.alt_hc_surrogate,
-                    oma_lc_ris=config.oma_lc_ris,
+                    weighted=config.se_weighted, oma_lc_ris=config.oma_lc_ris,
                 )
                 se_sum = se_h + se_l
             if config.metrics in ("delay", "both"):
                 rate_h, rate_l, sim_iters = _operating_rates(
-                    scenario, scheme,
-                    alt_hc_surrogate=config.alt_hc_surrogate,
-                    oma_lc_ris=config.oma_lc_ris,
-                )
+                    scenario, scheme, oma_lc_ris=config.oma_lc_ris)
                 if iterations is None:
                     iterations = sim_iters
                 trace = run_simulation(
@@ -419,6 +411,13 @@ def read_rows(path: str) -> list[SweepRow]:
             if len(rec) != len(CSV_HEADER):
                 raise ConfigParseError(
                     f"{where}: expected {len(CSV_HEADER)} cells, got {len(rec)}")
+            for col, allowed in _CELL_CHOICES.items():
+                if rec[col] not in allowed:
+                    raise ConfigParseError(
+                        f"{where}: {CSV_HEADER[col]} must be one of {allowed}, got {rec[col]!r}")
+            if not _STATUS.fullmatch(rec[10]):
+                raise ConfigParseError(
+                    f"{where}: status must be ok or error:<Name>, got {rec[10]!r}")
             try:
                 rows.append(SweepRow(
                     sweep_value=float(rec[0]),

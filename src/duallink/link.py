@@ -12,9 +12,9 @@ stream is decoded after interference cancellation and needs the direct route.
 This module provides the scenario parameter bundle, amplitude gains of both
 routes, array responses, the per-watt route coefficients and decoding-ratio
 forms that every allocator and baseline evaluates, exact and
-beam-orthogonality-approximated SINRs, Shannon rates, and the nested
-Bernoulli blockage sampler.  Everything here is in SI units (W, Hz, m, s);
-dB/dBm conversion belongs to config ingestion.
+beam-orthogonality-approximated SINRs, and the nested Bernoulli blockage
+sampler.  Everything here is in SI units (W, Hz, m, s); dB/dBm conversion
+belongs to config ingestion.
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ def route_coefficients(gains: LinkGains, n_b: int, n_r: int) -> tuple[float, flo
     return n_b * gains.eta_d**2, n_b * n_r * gains.eta_r**2
 
 
-def decoding_forms(w_d: float, w_r: float, alt_hc_surrogate: bool = False):
+def decoding_forms(w_d: float, w_r: float):
     """
     The three decoding ratios as (signal, interference) linear forms over
     the powers (p_h_d, p_h_r, p_l_d, p_l_r), each form a tuple of
@@ -309,15 +309,11 @@ def decoding_forms(w_d: float, w_r: float, alt_hc_surrogate: bool = False):
     first, against the LC stream), and LC after cancelling HC.  The
     direct-down ratio is the direct-up one with its direct coefficient
     zeroed, so indexing by beta_d picks the HC case.
-    ``alt_hc_surrogate`` gives the HC ratios' direct beam the reflected
-    coefficient, an alternate pairing kept only for comparison.
     """
-    w_hd = w_r if alt_hc_surrogate else w_d
-
     def hc(w_direct):
         return ((0, w_direct), (1, w_r)), ((2, w_direct), (3, w_r))
 
-    return hc(0.0), hc(w_hd), (((2, w_d), (3, w_r)), ())
+    return hc(0.0), hc(w_d), (((2, w_d), (3, w_r)), ())
 
 
 def ratio_parts(form, p, noise_w: float):
@@ -398,37 +394,20 @@ def exact_sinrs(
     return sinr_h, sinr_l
 
 
-def rates(sinr_h: float, sinr_l: float, bandwidth: float) -> tuple[float, float]:
-    """Shannon rates [bit/s] of both streams at the given SINRs."""
-    if sinr_h < 0.0 or sinr_l < 0.0:
-        raise ValueError("SINRs must be nonnegative")
-    return (
-        bandwidth * math.log2(1.0 + sinr_h),
-        bandwidth * math.log2(1.0 + sinr_l),
-    )
-
-
-def sample_blockage(q_d: float, q_r: float, rng: np.random.Generator) -> BlockageState:
-    """
-    Draw one joint blockage state with nested coupling.
-
-    A single uniform drives both routes: u < q_r blocks both, u < q_d blocks
-    only the direct route.  Marginals are exactly q_d and q_r and the
-    reflected route is never blocked alone.
-    """
-    if not 0.0 <= q_r <= q_d <= 1.0:
-        raise ValueError("need 0 <= q_r <= q_d <= 1")
-    u = rng.random()
-    return BlockageState(beta_d=int(u >= q_d), beta_r=int(u >= q_r))
-
-
 def sample_blockage_batch(
     q_d: float,
     q_r: float,
     size: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised sample_blockage; returns (beta_d, beta_r) int8 arrays."""
+    """
+    Draw ``size`` joint blockage states with nested coupling; returns
+    (beta_d, beta_r) int8 arrays, 1 = available.
+
+    A single uniform per draw drives both routes: u < q_r blocks both,
+    u < q_d only the direct route.  Marginals are exactly q_d and q_r and
+    the reflected route is never blocked alone.
+    """
     if not 0.0 <= q_r <= q_d <= 1.0:
         raise ValueError("need 0 <= q_r <= q_d <= 1")
     u = rng.random(size)

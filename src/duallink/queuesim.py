@@ -16,20 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import BlockageState, ScenarioParams, sample_blockage_batch
-
-
-@dataclass(frozen=True)
-class QueueState:
-    """Buffer levels (packets, fluid) after slot t."""
-
-    q_h: float
-    q_l: float
-    t: int = 0
-
-    def __post_init__(self):
-        if self.q_h < 0.0 or self.q_l < 0.0:
-            raise ValueError("queue lengths must be nonnegative")
+from .link import ScenarioParams, sample_blockage_batch
 
 
 @dataclass
@@ -63,39 +50,6 @@ class DelayStats:
     mean_q_h: float
     mean_q_l: float
     stable: bool
-
-
-def classify_arrivals(
-    total: int, alpha: float, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Split a batch of arrivals by independent per-packet classification."""
-    if total < 0:
-        raise ValueError("total must be nonnegative")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    a_h = int(rng.binomial(total, alpha))
-    return a_h, total - a_h
-
-
-def step_queues(
-    state: QueueState,
-    arrivals: tuple[float, float],
-    b: BlockageState,
-    stream_rates: tuple[float, float],
-    slot_duration: float,
-    packet_size: float,
-) -> QueueState:
-    """
-    One slot of buffer evolution: serve (if the stream's route is up), clamp
-    at empty, then add the new arrivals.
-    """
-    serve_h = b.beta_r * (slot_duration / packet_size) * stream_rates[0]
-    serve_l = b.beta_d * (slot_duration / packet_size) * stream_rates[1]
-    return QueueState(
-        q_h=max(state.q_h - serve_h, 0.0) + arrivals[0],
-        q_l=max(state.q_l - serve_l, 0.0) + arrivals[1],
-        t=state.t + 1,
-    )
 
 
 def run_simulation(

@@ -1,7 +1,9 @@
 """Experiment-layer tests: config ingestion, SE points, sweeps, CSV, CLI."""
 
+import csv
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from duallink import (
 from duallink.cli import main
 from duallink.experiments import CSV_HEADER, default_config, write_rows
 
+GOLDEN_SWEEP = os.path.join(os.path.dirname(__file__), "data", "sweep_default.csv")
 SE_SUM_LC_ONLY = 9.306028068406784
 SE_SUM_HC_ONLY = 1.4559972791574074
 
@@ -71,8 +74,9 @@ def test_bad_blockage_order_rejected(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    with pytest.raises(ConfigValidationError):
-        load_config(write(tmp_path, "bad.cfg", "carrier = 300\n"))
+    for text in ("carrier = 300\n", "alt_hc_surrogate = true\n"):
+        with pytest.raises(ConfigValidationError, match="unknown config key"):
+            load_config(write(tmp_path, "bad.cfg", text))
 
 
 def test_parse_error_distinct(tmp_path):
@@ -101,10 +105,17 @@ def test_read_rows_short_row(tmp_path):
 
 
 def test_read_rows_non_numeric_cell(tmp_path):
-    text = _CSV_HEAD + _CSV_ROW.replace("8.5", "lots")
-    with pytest.raises(ConfigParseError, match="line 2"):
-        read_rows(write(tmp_path, "bad.csv", text))
-    assert len(read_rows(write(tmp_path, "good.csv", _CSV_HEAD + _CSV_ROW))) == 1
+    # A cell that does not parse, and text cells outside their vocabulary:
+    # stable is true, false or empty, scheme mcsc or oma, status ok or
+    # error:<Name>.
+    for old, new in (("8.5", "lots"), (",,,5", ",,ture,5"), ("mcsc", "tdma"),
+                     ("ok", "okay"), ("ok", "error:")):
+        text = _CSV_HEAD + _CSV_ROW + _CSV_ROW.replace(old, new)
+        with pytest.raises(ConfigParseError, match="line 3"):
+            read_rows(write(tmp_path, "bad.csv", text))
+    good = _CSV_ROW + _CSV_ROW.replace(",,,5,ok", ",,false,5,error:RuntimeError")
+    rows = read_rows(write(tmp_path, "good.csv", _CSV_HEAD + good))
+    assert [(r.stable, r.status) for r in rows] == [(None, "ok"), (False, "error:RuntimeError")]
 
 
 def test_grid_must_increase(tmp_path):
@@ -353,6 +364,18 @@ def test_cli_simulate_writes_trace(tmp_path, capsys):
     assert "stable=" in capsys.readouterr().out
 
 
+def test_cli_simulate_rejects_short_horizon(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the allocator ran")
+
+    monkeypatch.setattr("duallink.cli._operating_rates", never)
+    cfg_path = write(tmp_path, "short.cfg", "horizon = 999\n")
+    out = str(tmp_path / "trace.csv")
+    assert main(["simulate", "--config", cfg_path, "--out", out]) == 2
+    assert "error: horizon must be >= 1000" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_cli_reports_config_errors(tmp_path, capsys):
     bad = write(tmp_path, "bad.cfg", "unknown_key = 1\n")
     assert main(["solve", "--config", bad]) == 2
@@ -377,3 +400,23 @@ def test_cli_rejects_grid_n_before_solving(monkeypatch, capsys, grid_n):
     monkeypatch.setattr("duallink.cli.sca_power_allocation", never)
     assert main(["oracle", "--grid-n", grid_n]) == 2
     assert "error: --grid-n" in capsys.readouterr().err
+
+
+def test_default_sweep_matches_golden(tmp_path):
+    # The default sweep against its committed CSV: text cells and counts
+    # exactly, numbers within 1e-12 relative.  A change that moves a number
+    # on purpose regenerates the file with `duallink sweep`.
+    out = str(tmp_path / "sweep.csv")
+    run_sweep(replace(default_config(), out=out))
+    with open(GOLDEN_SWEEP, newline="") as fh:
+        golden = list(csv.reader(fh))
+    with open(out, newline="") as fh:
+        fresh = list(csv.reader(fh))
+    assert len(fresh) == len(golden) and fresh[0] == golden[0] == CSV_HEADER
+    exact = {"sweep_value", "scheme", "stable", "iterations", "status"}
+    for want, got in zip(golden[1:], fresh[1:]):
+        for name, w, g in zip(CSV_HEADER, want, got):
+            if name in exact or w == "" or g == "":
+                assert g == w, (name, want)
+            else:
+                assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0.0), (name, want)

@@ -16,9 +16,8 @@ from duallink import (
     exact_sinrs,
     link_gains,
     noise_power,
-    rates,
+    objective_for_powers,
     ris_gain,
-    sample_blockage,
     sample_blockage_batch,
 )
 from duallink.link import SPEED_OF_LIGHT
@@ -172,22 +171,13 @@ def test_approx_sinrs_monotonicity(scenario, gains):
         assert l2 >= base_l
 
 
-def test_rates_zero_and_unity():
-    assert rates(0.0, 0.0, 1e10) == (0.0, 0.0)
-    assert rates(1.0, 1.0, 1.0) == (1.0, 1.0)
-
-
-def test_rates_direct_link_anchor():
-    r_h, _ = rates(SNR_DIRECT_FULL, 0.0, 1e10)
-    assert r_h == pytest.approx(RATE_DIRECT_FULL, rel=1e-12)
-
-
-def test_rates_monotone_and_linear_in_bandwidth():
-    r1, _ = rates(3.0, 0.0, 1e9)
-    r2, _ = rates(4.0, 0.0, 1e9)
-    r3, _ = rates(3.0, 0.0, 2e9)
-    assert r2 > r1
-    assert r3 == pytest.approx(2 * r1, rel=1e-12)
+def test_rates_direct_link_anchor(scenario):
+    # All power on the direct LC beam: the LC rate is the direct link's
+    # Shannon rate at full power.
+    p = PowerAllocation(0.0, 0.0, scenario.p_max, 0.0)
+    rate_h, rate_l, *_ = objective_for_powers(p, scenario)
+    assert rate_h == 0.0
+    assert rate_l == pytest.approx(RATE_DIRECT_FULL, rel=1e-12)
 
 
 def test_exact_sinrs_fully_blocked(scenario):
@@ -242,15 +232,16 @@ def test_exact_deviates_for_misaligned_panel(scenario, gains):
 
 def test_sample_blockage_degenerate_cases():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        assert sample_blockage(1.0, 1.0, rng) == BlockageState(0, 0)
-        assert sample_blockage(0.0, 0.0, rng) == BlockageState(1, 1)
+    for q, up in ((1.0, 0), (0.0, 1)):
+        beta_d, beta_r = sample_blockage_batch(q, q, 20, rng)
+        assert beta_d.dtype == beta_r.dtype == np.int8
+        assert np.all(beta_d == up) and np.all(beta_r == up)
 
 
 def test_sample_blockage_rejects_bad_order():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sample_blockage(0.1, 0.3, rng)
+        sample_blockage_batch(0.1, 0.3, 20, rng)
 
 
 def test_sample_blockage_marginals_and_nesting():

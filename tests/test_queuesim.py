@@ -6,16 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from duallink import (
-    BlockageState,
-    QueueState,
-    QueueTrace,
-    ScenarioParams,
-    classify_arrivals,
-    mean_delay,
-    run_simulation,
-    step_queues,
-)
+from duallink import QueueTrace, ScenarioParams, mean_delay, run_simulation
 
 
 @pytest.fixture(scope="module")
@@ -23,45 +14,45 @@ def scenario():
     return ScenarioParams()
 
 
-def test_classify_arrivals_degenerate():
-    rng = np.random.default_rng(1)
-    assert classify_arrivals(100, 0.0, rng) == (0, 100)
-    assert classify_arrivals(100, 1.0, rng) == (100, 0)
-    assert classify_arrivals(0, 0.5, rng) == (0, 0)
+def test_classify_arrivals_degenerate(scenario):
+    # Each slot's arrivals are split per packet: alpha = 0 or 1 sends all
+    # of them to one class.
+    for alpha in (0.0, 1.0):
+        trace = run_simulation(replace(scenario, alpha=alpha), (1e9, 1e9), 200, seed=1)
+        assert np.all((trace.a_h if alpha == 0.0 else trace.a_l) == 0)
+        assert np.sum(trace.a_h + trace.a_l) > 0
+    trace = run_simulation(replace(scenario, arrival_rate=0.0), (1e9, 1e9), 200, seed=1)
+    assert np.all(trace.a_h == 0) and np.all(trace.a_l == 0)
 
 
-def test_classify_arrivals_fraction():
-    rng = np.random.default_rng(2)
-    total = 0
-    hc = 0
-    for _ in range(1000):
-        a_h, a_l = classify_arrivals(1000, 0.15, rng)
-        assert a_h + a_l == 1000
-        hc += a_h
-        total += 1000
+def test_classify_arrivals_fraction(scenario):
+    sc = replace(scenario, alpha=0.15, arrival_rate=1000.0)
+    trace = run_simulation(sc, (1e9, 1e9), 1000, seed=2)
+    total = int(np.sum(trace.a_h + trace.a_l))
     sigma = math.sqrt(0.15 * 0.85 / total)
-    assert abs(hc / total - 0.15) < 3.0 * sigma
+    assert abs(np.sum(trace.a_h) / total - 0.15) < 3.0 * sigma
 
 
-def test_step_queues_arithmetic():
-    state = QueueState(q_h=5.0, q_l=1.0, t=0)
-    # service of 2 packets/slot needs rate = 2 * packet_size / slot_duration
-    nxt = step_queues(
-        state, (3.0, 0.0), BlockageState(1, 1),
-        (2e8, 5e8), slot_duration=0.1, packet_size=1e7,
-    )
-    assert nxt.q_h == pytest.approx(6.0)   # 5 - 2 + 3
-    assert nxt.q_l == pytest.approx(0.0)   # clamped at empty
-    assert nxt.t == 1
+def test_step_queues_arithmetic(scenario):
+    # Both routes always up: a rate of k packet_size / slot_duration serves
+    # k packets a slot.  Each slot serves, clamps at empty, then adds the
+    # slot's arrivals.
+    sc = replace(scenario, q_d=0.0, q_r=0.0, arrival_rate=5.0)
+    trace = run_simulation(sc, (2e8, 5e8), 2000, seed=10)
+    for q, a, s, k in ((trace.q_h, trace.a_h, trace.s_h, 2.0),
+                       (trace.q_l, trace.a_l, trace.s_l, 5.0)):
+        assert s == pytest.approx(np.full(len(trace), k), rel=1e-12)
+        prev = np.concatenate([[0.0], q[:-1]])
+        assert np.array_equal(q, np.maximum(prev - s, 0.0) + a)
 
 
-def test_step_queues_outage_gating():
-    state = QueueState(q_h=5.0, q_l=5.0, t=3)
-    nxt = step_queues(
-        state, (0.0, 0.0), BlockageState(0, 0),
-        (1e9, 1e9), slot_duration=0.1, packet_size=1e7,
-    )
-    assert nxt.q_h == 5.0 and nxt.q_l == 5.0
+def test_step_queues_outage_gating(scenario):
+    # Both routes always blocked: nothing is served, whatever the rates.
+    sc = replace(scenario, q_d=1.0, q_r=1.0)
+    trace = run_simulation(sc, (1e12, 1e12), 2000, seed=11)
+    assert np.all(trace.s_h == 0.0) and np.all(trace.s_l == 0.0)
+    assert np.array_equal(trace.q_h, np.cumsum(trace.a_h))
+    assert np.array_equal(trace.q_l, np.cumsum(trace.a_l))
 
 
 def test_simulation_no_arrivals(scenario):
@@ -176,8 +167,3 @@ def test_mean_delay_rejects_empty():
     trace.q_l = np.array([])
     with pytest.raises(ValueError):
         mean_delay(trace, 0.5, 1.0, 0.1)
-
-
-def test_queue_state_validation():
-    with pytest.raises(ValueError):
-        QueueState(q_h=-1.0, q_l=0.0)
