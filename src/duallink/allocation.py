@@ -6,7 +6,8 @@ maximises the minimum weighted stability gap of the two queues over the four
 transmit powers.  The rate expressions make the problem non-convex; each
 outer iteration replaces the SINR ratios by their quadratic-transform
 surrogates at fixed auxiliary multipliers and solves the resulting convex
-program with the log-barrier kernel; one such run on reweighted gaps finds
+program with the interior-point kernel, started from the previous
+iteration's solution and multipliers; one such run on reweighted gaps finds
 the largest stabilisable arrival rate.  A simplex-grid brute-force search
 over the closed-form objective serves as an independent check.
 """
@@ -28,7 +29,7 @@ from .link import (
     ratio_parts,
     route_coefficients,
 )
-from .maxmin import STATUS_INFEASIBLE_START, solve_maxmin
+from .maxmin import STATUS_INFEASIBLE_START, KernelResult, solve_maxmin
 
 # Guard for square-root arguments; p = 0 is a legitimate boundary point.
 _SQRT_FLOOR = 1e-30
@@ -193,7 +194,8 @@ class _Subproblem:
     lin @ x + const, less 2 mu sqrt(a @ x) on the three surrogate rows and
     log2(1 + gamma) on the two rate caps.  Row order: the terms, the rate
     caps (HC, LC), the surrogates (HC direct down, HC direct up, LC), the
-    power budget.
+    power budget.  ``warm`` is the previous SCA iteration's inner solve,
+    the kernel's start; its rows have the same layout.
     """
 
     n_terms: int
@@ -203,6 +205,7 @@ class _Subproblem:
     mu: np.ndarray
     x0: np.ndarray
     n: int = 8
+    warm: KernelResult | None = None
 
     def bounds(self) -> np.ndarray:
         return np.zeros(self.n)
@@ -346,6 +349,7 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False):
     history = [evals[4]]
     converged = False
     iterations = 0
+    result = None
 
     for _ in range(_SCA_MAX_ITERS):
         obj = history[-1]
@@ -355,6 +359,7 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False):
         p_mu = PowerAllocation(*np.maximum(p.as_array(), floor))
         mu = _multipliers(p_mu, forms, noise_w)
         problem = _build_subproblem(p, mu, scenario, weights, offsets, forms, noise_w, serv)
+        problem.warm = result  # start from the previous solve's point and multipliers
         result = solve_maxmin(problem)
         if result.status == STATUS_INFEASIBLE_START:
             raise RuntimeError(

@@ -23,7 +23,7 @@ from .allocation import capacity_allocation, sca_power_allocation
 from .allocation import max_feasible_arrival  # noqa: F401  (bench/spans.py rebinds it here)
 from .link import ScenarioParams
 from .oma import oma_max_feasible_arrival, oma_optimize
-from .queuesim import mean_delay, run_simulation
+from .queuesim import MIN_DELAY_HORIZON, mean_delay, run_simulation
 
 CSV_HEADER = [
     "sweep_value", "scheme", "se_h", "se_l", "se_sum", "a_star",
@@ -37,8 +37,8 @@ _STATUS = re.compile(r"ok|error:[A-Za-z_]\w*")
 _AXES = ("alpha", "q_d", "n_ris", "arrival")
 _SCHEMES = ("mcsc", "oma", "both")
 _METRICS = ("se", "delay", "both")
-# Shortest queue simulation whose delay estimate is reported.
-MIN_DELAY_HORIZON = 1000
+# Where run_sweep writes when the config names no output file.
+SWEEP_OUT = "sweep.csv"
 
 
 class ConfigParseError(Exception):
@@ -60,7 +60,7 @@ class ExperimentConfig:
     metrics: str = "se"
     horizon: int = 100000
     seed: int = 1
-    out: str = "sweep.csv"
+    out: str | None = None  # None: the writing command's own default file
     workers: int = 1
     se_weighted: bool = True
     oma_lc_ris: bool = False
@@ -340,12 +340,15 @@ def _sweep_point(args: tuple[ExperimentConfig, int, float]) -> list[SweepRow]:
 
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """
-    Solve every sweep point, write the CSV and its sidecar, return the rows.
+    Solve every sweep point, write the CSV (``config.out``, else SWEEP_OUT)
+    and its sidecar, return the rows.
 
     Points run independently (optionally in a process pool); rows are
     ordered by sweep index then scheme regardless of completion order, so a
     given config and seed always produce byte-identical output.
     """
+    if config.out is None:
+        config = replace(config, out=SWEEP_OUT)
     payloads = [(config, i, v) for i, v in enumerate(config.grid)]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:

@@ -1,5 +1,5 @@
 """
-Dense log-barrier interior-point solver for small smooth max-min programs.
+Dense primal-dual interior-point solver for small smooth max-min programs.
 
 Solves  maximize_x min_i f_i(x)  subject to  g_j(x) <= 0  and x >= lb,
 with concave f_i and convex twice-differentiable g_j, via the epigraph
@@ -8,10 +8,12 @@ reformulation  maximize t  s.t.  t - f_i(x) <= 0.  Problems here are tiny
 with backtracking are entirely adequate and keep the package dependency-free.
 
 The kernel reads a problem as stacked rows, the terms f_i first and then the
-constraints g_j.  A problem has ``n``, ``n_terms``, ``x0`` and ``bounds()``;
-``values(x)`` gives the row values and ``evaluate(x)`` the values, their
-Jacobian (one row per term or constraint) and the weighted row Hessian
-w -> sum_i w_i Hessian(row_i).  ``MaxMinProblem`` stacks per-row callables.
+constraints g_j.  A problem has ``n``, ``n_terms``, ``x0``, ``warm`` and
+``bounds()``; ``values(x)`` gives the row values and ``evaluate(x)`` the
+values, their Jacobian (one row per term or constraint) and the weighted row
+Hessian w -> sum_i w_i Hessian(row_i).  ``warm`` is None or the result of a
+nearby problem with the same rows, whose point and multipliers then start
+the solve.  ``MaxMinProblem`` stacks per-row callables.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max-iterations"
 STATUS_INFEASIBLE_START = "infeasible-start"
 
-_TINY = 1e-300
-
 
 class Rows(Protocol):
     """A problem as stacked rows; see the module docstring."""
@@ -42,6 +42,7 @@ class Rows(Protocol):
     n: int
     n_terms: int
     x0: np.ndarray
+    warm: KernelResult | None
 
     def bounds(self) -> np.ndarray: ...
 
@@ -70,6 +71,7 @@ class MaxMinProblem:
     constraints: Sequence[ConstraintFn]
     x0: np.ndarray
     lower_bounds: np.ndarray | None = None
+    warm = None  # always a cold start
 
     def bounds(self) -> np.ndarray:
         if self.lower_bounds is None:
@@ -100,16 +102,14 @@ class MaxMinProblem:
 
 
 # Fixed solver settings; deliberately unadventurous.
-_T_INIT = 1.0
-_T_MULT = 10.0
-_GAP_TOL = 1e-8      # outer loop runs until m / t_barrier < gap_tol
-_NEWTON_TOL = 1e-10  # on half the squared Newton decrement
-_ARMIJO = 0.3
+_MU = 10.0           # each step aims the barrier weight t at _MU * m / eta
+_STEP_FRAC = 0.99    # fraction-to-boundary; also a warm start's pull
+_ARMIJO = 0.01       # sufficient decrease in the line search
 _BACKTRACK = 0.5
-_MAX_NEWTON = 80
-_MAX_OUTER = 48
+_MAX_NEWTON = 200
+_ETA_TOL = 1e-8      # on the surrogate duality gap eta = -F @ lam
 KKT_TOL = 1e-3       # on the KKT residual relative to its terms' size
-_FEAS_TOL = 1e-9
+_FEAS_TOL = 1e-9     # on the constraint violation and the dual residual
 
 
 @dataclass
@@ -119,7 +119,7 @@ class KernelResult:
     max_violation: float
     kkt_residual: float
     newton_iters: int
-    outer_iters: int
+    outer_iters: int  # primal-dual loops run, phase I included
     status: str
     multipliers: dict = field(default_factory=dict)
 
@@ -140,103 +140,90 @@ def _solve_newton_system(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return step / d
 
 
-def _center(z: np.ndarray, t_bar: float, f0_grad: np.ndarray, problem: Rows, rows: tuple,
-            lb: np.ndarray) -> tuple[np.ndarray, int]:
+def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tuple,
+                 direction: float, stop: Callable[[np.ndarray], bool] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """
-    Newton centering of t_bar * f0 + barrier at fixed barrier weight.
+    Primal-dual interior-point loop (Boyd & Vandenberghe, Convex
+    Optimization, §11.7) minimising direction * e over z = [x, e] subject to
+    F(z) < 0.  F stacks sign * row(x) + coef * e for the problem rows sel,
+    where rows = (sel, sign, coef) and e is the epigraph variable (main
+    solve) or the slack (phase I), then lb - x for the finite lower bounds.
 
-    Over z = [x, e], rows = (sel, sign, coef) stands for the inequalities
-    sign * row(x) + coef * e < 0 of the problem rows ``sel``, where e is the
-    epigraph variable (main solve) or the slack (phase I).
+    lam are F's multipliers; None starts them at the least-norm multipliers
+    that cancel the objective gradient, DF' lam = -c, floored at 1 / -F.  Each
+    step sets the barrier weight t from the surrogate gap eta = -F @ lam,
+    takes the Newton step on the modified KKT system, stops the multipliers
+    short of zero, and backtracks until the point is strictly feasible and
+    either the residual norm or the barrier merit c @ z - sum(log(-F)) / t
+    decreases enough.  The Newton step always descends the merit, whose
+    test does not depend on how the rows are scaled; on badly scaled rows
+    the residual norm alone admits only tiny steps.  Returns (z, lam, Newton
+    steps, whether eta and the dual residual cleared their tolerances),
+    stopping early once ``stop(row values)`` holds.
     """
     sel, sign, coef = rows
     n = len(z) - 1
-    bounded = np.isfinite(lb)
+    lb = problem.bounds()
+    bounded = np.flatnonzero(np.isfinite(lb))
     lb_b = lb[bounded]
+    d_bounds = np.zeros((bounded.size, n + 1))
+    d_bounds[np.arange(bounded.size), bounded] = -1.0
+    c = np.zeros(n + 1)
+    c[n] = direction
 
-    def psi_at(point: np.ndarray) -> float:
-        """Centering cost at point; +inf outside the barrier's domain."""
-        slack_b = point[bounded] - lb_b
-        if slack_b.size and slack_b.min() <= 0.0:
-            return np.inf
-        slack = -(sign * problem.values(point[:n])[sel] + coef * point[n])
-        if slack.size and slack.min() <= 0.0:
-            return np.inf
-        return t_bar * float(f0_grad @ point) - np.log(slack_b).sum() - np.log(slack).sum()
+    def at(point: np.ndarray):
+        """Row values, F and its Jacobian DF at point, and the weighted row Hessian."""
+        vals, jac, weighted_hessian = problem.evaluate(point[:n])
+        f = np.concatenate([sign * vals[sel] + coef * point[n], lb_b - point[bounded]])
+        df = np.vstack([np.column_stack([sign[:, None] * jac[sel], coef]), d_bounds])
+        return vals, f, df, weighted_hessian
 
-    iters = 0
-    for _ in range(_MAX_NEWTON):
-        vals, jac, weighted_hessian = problem.evaluate(z[:n])
-        slack = np.maximum(-(sign * vals[sel] + coef * z[n]), _TINY)
-        slack_b = z[bounded] - lb_b
-        psi = t_bar * float(f0_grad @ z) - np.log(slack_b).sum() - np.log(slack).sum()
-        # Each barrier row's gradient over z, scaled by its inverse slack.
-        scaled = np.column_stack([jac[sel] * (sign / slack)[:, None], coef / slack])
-        inv = 1.0 / slack_b
-        grad = t_bar * f0_grad + scaled.sum(axis=0)
-        grad[bounded] -= inv
-        hess = scaled.T @ scaled
-        hess[bounded, bounded] += inv * inv
+    def residual(f, df, lam, t):
+        """Norm of the modified KKT residual: dual, then centrality."""
+        return math.hypot(np.linalg.norm(c + df.T @ lam), np.linalg.norm(lam * f + 1.0 / t))
+
+    def merit(point, f, t):
+        return float(c @ point) - np.log(-f).sum() / t
+
+    vals, f, df, weighted_hessian = at(z)
+    if lam is None:
+        lam = np.maximum(df @ _solve_newton_system(df.T @ df, c), 1.0 / -f)
+    steps = 0
+    while True:
+        eta = -float(f @ lam)
+        r_dual = c + df.T @ lam
+        if (stop is not None and stop(vals)) or (
+                eta <= _ETA_TOL and np.linalg.norm(r_dual) <= _FEAS_TOL):
+            return z, lam, steps, True
+        if steps == _MAX_NEWTON:
+            return z, lam, steps, False
+        steps += 1
+        t = _MU * len(f) / eta
         weights = np.zeros(len(vals))
-        weights[sel] = sign / slack
+        weights[sel] = sign * lam[:len(sign)]
+        hess = df.T @ ((lam / -f)[:, None] * df)
         hess[:n, :n] += weighted_hessian(weights)
-        step = _solve_newton_system(hess, grad)
-        decrement = -float(grad @ step)
-        if decrement <= 0.0 or 0.5 * decrement <= _NEWTON_TOL:
-            break
-        iters += 1
-        lam = math.sqrt(decrement)
-        # Damped Newton: inside the quadratic-convergence region the full
-        # step is taken on a domain check alone; the centering cost there
-        # changes by less than float resolution, so an Armijo test on it
-        # would only thrash.  Farther out, backtrack on the cost as usual.
-        # Outside the domain the cost is +inf, so both tests fail there, as
-        # they do on a NaN cost.
-        if lam <= 0.25:
-            t_step = 1.0
-            while t_step > 1e-16 and not psi_at(z + t_step * step) < np.inf:
-                t_step *= _BACKTRACK
-            if t_step <= 1e-16:
-                break
-            z = z + t_step * step
-        else:
-            t_step = 1.0 / (1.0 + lam)
-            while t_step > 1e-16:
-                cand = z + t_step * step
-                if psi_at(cand) <= psi - _ARMIJO * t_step * decrement:
+        grad = c + df.T @ (1.0 / (t * -f))  # the barrier merit's gradient
+        dz = _solve_newton_system(hess, grad)
+        dlam = (1.0 / t + lam * (df @ dz)) / -f - lam
+        shrinking = dlam < 0.0
+        s = _STEP_FRAC * min(1.0, float(np.min(-lam[shrinking] / dlam[shrinking], initial=1.0)))
+        r0, merit0 = residual(f, df, lam, t), merit(z, f, t)
+        slope = _ARMIJO * float(grad @ dz)
+        while s > 1e-16:
+            cand = z + s * dz
+            if np.all(cand[bounded] > lb_b):
+                ev = at(cand)
+                if np.all(ev[1] < 0.0) and (
+                        residual(ev[1], ev[2], lam + s * dlam, t) <= (1.0 - _ARMIJO * s) * r0
+                        or merit(cand, ev[1], t) <= merit0 + s * slope):
                     break
-                t_step *= _BACKTRACK
-            else:
-                break
-            z = cand
-    return z, iters
-
-
-def _barrier(problem: Rows, x: np.ndarray, e: float, rows: tuple, direction: float,
-             stop: Callable[[np.ndarray], bool] | None = None
-             ) -> tuple[np.ndarray, float, int, int, bool]:
-    """
-    Barrier method over z = [x, e] for the objective direction * e: center,
-    then multiply the barrier weight t by _T_MULT, until ``stop(z)`` holds,
-    the duality-gap bound m / t clears _GAP_TOL, or _MAX_OUTER stages have
-    run.  Returns (z, t, Newton steps, stages, whether the gap bound cleared).
-    """
-    z = np.append(x, e)
-    lb = np.append(problem.bounds(), -np.inf)
-    f0_grad = np.zeros(len(z))
-    f0_grad[-1] = direction
-    m = len(rows[1]) + int(np.isfinite(lb).sum())
-    t_bar = _T_INIT
-    newton = 0
-    for stages in range(1, _MAX_OUTER + 1):
-        z, it = _center(z, t_bar, f0_grad, problem, rows, lb)
-        newton += it
-        if stop is not None and stop(z):
-            break
-        if m / t_bar < _GAP_TOL:
-            return z, t_bar, newton, stages, True
-        t_bar *= _T_MULT
-    return z, t_bar, newton, stages, False
+            s *= _BACKTRACK
+        else:
+            return z, lam, steps, False
+        z, lam = cand, lam + s * dlam
+        vals, f, df, weighted_hessian = ev  # the accepted point's evaluation
 
 
 def _max_violation(problem: Rows, x: np.ndarray) -> float:
@@ -250,31 +237,32 @@ def _phase_one(x: np.ndarray, problem: Rows) -> tuple[np.ndarray, bool, int]:
     plus the original lower bounds; stops as soon as s can be pushed
     negative.
     """
-    n = problem.n
+    n, n_t = problem.n, problem.n_terms
     lb = problem.bounds()
     x = x.copy()
     bounded = np.isfinite(lb)
     x[bounded] = np.maximum(x[bounded], lb[bounded] + 1e-9)
 
-    cons = problem.values(x)[problem.n_terms:]
-    rows = (slice(problem.n_terms, None), np.ones(cons.size), -np.ones(cons.size))
+    cons = problem.values(x)[n_t:]
+    rows = (slice(n_t, None), np.ones(cons.size), -np.ones(cons.size))
     s0 = max(float(max(cons, default=-1.0)), 0.0) + 1.0
-    w, _, newton_total, _, _ = _barrier(  # minimise s
-        problem, x, s0, rows, 1.0,
-        stop=lambda point: _max_violation(problem, point[:n]) < -1e-12,
-    )
-    return w[:n], _max_violation(problem, w[:n]) < 0.0, newton_total
+    w, _, newton, _ = _primal_dual(  # minimise s
+        problem, np.append(x, s0), None, rows, 1.0,
+        stop=lambda vals: max(vals[n_t:], default=-1.0) < -1e-12)
+    return w[:n], _max_violation(problem, w[:n]) < 0.0, newton
 
 
 def solve_maxmin(problem: Rows) -> KernelResult:
     """
     Maximise the minimum of the objective terms subject to the constraints.
 
-    Runs a standard barrier method on the epigraph form.  Returns the best
-    iterate with KKT diagnostics; status is ``converged`` when the duality
-    gap surrogate, the KKT residual, and feasibility all clear their
-    tolerances, ``infeasible-start`` when phase I cannot find a strictly
-    feasible point, and ``max-iterations`` otherwise.
+    Runs the primal-dual loop on the epigraph form, from the problem's
+    ``warm`` result when it has one: its point and multipliers, the point
+    pulled toward x0 by the fraction-to-boundary margin.  Returns the last
+    iterate with KKT diagnostics; status is ``converged`` when the surrogate
+    gap, the KKT residual, and feasibility all clear their tolerances,
+    ``infeasible-start`` when phase I cannot find a strictly feasible point,
+    and ``max-iterations`` otherwise.
     """
     n, n_t = problem.n, problem.n_terms
     lb = problem.bounds()
@@ -282,16 +270,16 @@ def solve_maxmin(problem: Rows) -> KernelResult:
     if x.shape != (n,):
         raise ValueError("x0 must have shape (n,)")
 
-    newton_total = 0
+    newton_total, loops = 0, 1
     bounded = np.isfinite(lb)
     if not (np.all(x[bounded] > lb[bounded]) and _max_violation(problem, x) < 0.0):
-        x, ok, it = _phase_one(x, problem)
-        newton_total += it
+        x, ok, newton_total = _phase_one(x, problem)
+        loops += 1
         if not ok:
             return KernelResult(
                 x=x, value=float(min(problem.values(x)[:n_t])),
                 max_violation=max(_max_violation(problem, x), 0.0), kkt_residual=np.inf,
-                newton_iters=newton_total, outer_iters=0, status=STATUS_INFEASIBLE_START)
+                newton_iters=newton_total, outer_iters=1, status=STATUS_INFEASIBLE_START)
 
     vals = problem.values(x)
     m_c = len(vals) - n_t
@@ -299,17 +287,24 @@ def solve_maxmin(problem: Rows) -> KernelResult:
     sign = np.concatenate([-np.ones(n_t), np.ones(m_c)])
     coef = np.concatenate([np.ones(n_t), np.zeros(m_c)])
     t0 = float(min(vals[:n_t]))
-    z, t_bar, it, outer, gap_ok = _barrier(  # maximise t
-        problem, x, t0 - max(1.0, 0.1 * abs(t0)), (slice(None), sign, coef), -1.0)
-    newton_total += it
+    z, lam = np.append(x, t0 - max(1.0, 0.1 * abs(t0))), None
+    warm = problem.warm
+    if warm is not None:
+        pulled = z + _STEP_FRAC * (np.append(warm.x, warm.value) - z)
+        if (np.all(pulled[:n][bounded] > lb[bounded])
+                and np.all(sign * problem.values(pulled[:n]) + coef * pulled[n] < 0.0)):
+            mult = warm.multipliers
+            z, lam = pulled, np.concatenate(
+                [mult["terms"], mult["constraints"], mult["bounds"][bounded]])
+    z, lam, newton, done = _primal_dual(problem, z, lam, (slice(None), sign, coef), -1.0)
+    newton_total += newton
 
-    x_star, e = z[:n], float(z[n])
+    x_star = z[:n]
     vals, jac, _ = problem.evaluate(x_star)
     viol = max(float(max(vals[n_t:], default=-1.0)), 0.0)
-    lam_rows = 1.0 / (t_bar * np.maximum(-(sign * vals + coef * e), _TINY))
+    lam_rows = lam[:len(vals)]
     lam_bounds = np.zeros(n)
-    slack_b = x_star[bounded] - lb[bounded]
-    lam_bounds[bounded] = 1.0 / (t_bar * np.maximum(slack_b, _TINY))
+    lam_bounds[bounded] = lam[len(vals):]
     multipliers = {"terms": lam_rows[:n_t], "constraints": lam_rows[n_t:], "bounds": lam_bounds}
     kkt = kkt_residual(problem, x_star, multipliers)
     # The residual is judged relative to the size of the terms it cancels;
@@ -317,10 +312,10 @@ def solve_maxmin(problem: Rows) -> KernelResult:
     # the multiplier magnitudes even at an optimal point.
     kkt_scale = (1.0 + float(np.sum(np.abs(lam_bounds)))
                  + float(lam_rows @ np.linalg.norm(jac, axis=1)))
-    ok = gap_ok and kkt <= KKT_TOL * kkt_scale and viol <= _FEAS_TOL
+    ok = done and kkt <= KKT_TOL * kkt_scale and viol <= _FEAS_TOL
     return KernelResult(
         x=x_star, value=float(min(vals[:n_t])), max_violation=viol, kkt_residual=kkt,
-        newton_iters=newton_total, outer_iters=outer,
+        newton_iters=newton_total, outer_iters=loops,
         status=STATUS_CONVERGED if ok else STATUS_MAX_ITERATIONS, multipliers=multipliers)
 
 

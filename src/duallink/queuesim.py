@@ -18,6 +18,9 @@ import numpy as np
 
 from .link import ScenarioParams, sample_blockage_batch
 
+# Shortest trace whose delay estimate and stability verdict are reported.
+MIN_DELAY_HORIZON = 1000
+
 
 @dataclass
 class QueueTrace:
@@ -146,10 +149,12 @@ def mean_delay(
     Time averages exclude the first tenth of the trace as start-up
     transient.  A class with zero arrival rate has no defined delay and is
     reported as absent.  ``tau_total_slots`` is the packet-averaged waiting
-    time over both classes.
+    time over both classes.  Raises ValueError on a trace shorter than
+    MIN_DELAY_HORIZON slots, too short to judge.
     """
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
+    if len(trace) < MIN_DELAY_HORIZON:
+        raise ValueError(
+            f"trace has {len(trace)} slots, fewer than the {MIN_DELAY_HORIZON} a delay needs")
     warm = len(trace) // 10
     mean_q_h = float(trace.q_h[warm:].mean())
     mean_q_l = float(trace.q_l[warm:].mean())

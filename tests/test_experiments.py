@@ -12,6 +12,7 @@ from duallink import (
     ConfigParseError,
     ConfigValidationError,
     ExperimentConfig,
+    QueueTrace,
     ScenarioParams,
     load_config,
     read_rows,
@@ -19,7 +20,7 @@ from duallink import (
     spectral_efficiency,
     tipping_point,
 )
-from duallink.cli import main
+from duallink.cli import _write_trace, main
 from duallink.experiments import CSV_HEADER, default_config, write_rows
 
 GOLDEN_SWEEP = os.path.join(os.path.dirname(__file__), "data", "sweep_default.csv")
@@ -362,6 +363,48 @@ def test_cli_simulate_writes_trace(tmp_path, capsys):
     assert lines[0] == "slot,a_h,a_l,beta_d,beta_r,s_h,s_l,q_h,q_l"
     assert len(lines) == 2001
     assert "stable=" in capsys.readouterr().out
+
+
+def test_cli_simulate_honours_explicit_sweep_csv(tmp_path, monkeypatch, capsys):
+    # The name sweep.csv is the sweep's default, but given explicitly to
+    # simulate it is where the trace goes.
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write(tmp_path, "sim.cfg", "horizon = 1000\n")
+    assert main(["simulate", "--config", cfg_path, "--out", "sweep.csv",
+                 "--scheme", "oma"]) == 0
+    assert "wrote 1000 slots to sweep.csv" in capsys.readouterr().out
+    assert open("sweep.csv").readline() == "slot,a_h,a_l,beta_d,beta_r,s_h,s_l,q_h,q_l\n"
+    assert not os.path.exists("trace.csv")
+    # Without --out or an out key, each command writes its own default.
+    assert main(["simulate", "--config", cfg_path, "--scheme", "oma"]) == 0
+    assert os.path.exists("trace.csv")
+
+
+def test_trace_writer_matches_csv_module(tmp_path):
+    # The column-wise writer gives the bytes of a csv.writer row loop with
+    # repr floats, across its block boundary.
+    slots = 10_000
+    rng = np.random.default_rng(5)
+    ints = rng.integers(0, 300, (4, slots))
+    floats = rng.random((4, slots)) * 10.0 ** rng.integers(-20, 20, (4, slots))
+    floats[:, :3] = [0.0, 1e-300, 2.5]
+    trace = QueueTrace(ints[0], ints[1], floats[0], floats[1],
+                       ints[2].astype(np.int8), ints[3].astype(np.int8), floats[2], floats[3],
+                       seed=0, scenario_digest="synthetic")
+    fast = tmp_path / "fast.csv"
+    _write_trace(str(fast), trace)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["slot", "a_h", "a_l", "beta_d", "beta_r", "s_h", "s_l", "q_h", "q_l"])
+        for t in range(slots):
+            writer.writerow([
+                t, int(trace.a_h[t]), int(trace.a_l[t]),
+                int(trace.beta_d[t]), int(trace.beta_r[t]),
+                repr(float(trace.s_h[t])), repr(float(trace.s_l[t])),
+                repr(float(trace.q_h[t])), repr(float(trace.q_l[t])),
+            ])
+    assert fast.read_bytes() == ref.read_bytes()
 
 
 def test_cli_simulate_rejects_short_horizon(tmp_path, monkeypatch, capsys):

@@ -161,6 +161,15 @@ def test_mean_delay_matches_md1_theory():
     assert stats.tau_h_slots == pytest.approx(tau_theory, rel=0.15)
 
 
+@pytest.mark.parametrize("slots", [1, 999])
+def test_mean_delay_rejects_short_trace(scenario, slots):
+    # Too short to judge: a 1-slot trace whose queues only grow used to
+    # come back stable, with an empty warm-up mean.
+    trace = run_simulation(scenario, (0.0, 0.0), slots, seed=1)
+    with pytest.raises(ValueError, match="fewer than the 1000"):
+        mean_delay(trace, scenario.alpha, scenario.arrival_rate, scenario.slot_duration)
+
+
 def test_mean_delay_rejects_empty():
     trace = _constant_trace(1.0, 1.0, 10)
     trace.q_h = np.array([])
