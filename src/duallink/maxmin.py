@@ -109,7 +109,7 @@ _BACKTRACK = 0.5
 _MAX_NEWTON = 200
 _ETA_TOL = 1e-8      # on the surrogate duality gap eta = -F @ lam
 KKT_TOL = 1e-3       # on the KKT residual relative to its terms' size
-_FEAS_TOL = 1e-9     # on the constraint violation and the dual residual
+_FEAS_TOL = 1e-9     # on the constraint violation and the relative dual residual
 
 
 @dataclass
@@ -193,8 +193,11 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
     while True:
         eta = -float(f @ lam)
         r_dual = c + df.T @ lam
-        if (stop is not None and stop(vals)) or (
-                eta <= _ETA_TOL and np.linalg.norm(r_dual) <= _FEAS_TOL):
+        # The dual residual is judged relative to the size of the terms it
+        # sums, as the KKT test is; in absolute units a badly scaled problem
+        # can keep it above _FEAS_TOL for hundreds of steps after eta clears.
+        dual_ok = np.linalg.norm(r_dual) <= _FEAS_TOL * (1.0 + lam @ np.linalg.norm(df, axis=1))
+        if (stop is not None and stop(vals)) or (eta <= _ETA_TOL and dual_ok):
             return z, lam, steps, True
         if steps == _MAX_NEWTON:
             return z, lam, steps, False
