@@ -142,7 +142,7 @@ def _solve_newton_system(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tuple,
                  direction: float, stop: Callable[[np.ndarray], bool] | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
+                 ) -> tuple[np.ndarray, np.ndarray, int, bool, tuple]:
     """
     Primal-dual interior-point loop (Boyd & Vandenberghe, Convex
     Optimization, §11.7) minimising direction * e over z = [x, e] subject to
@@ -159,8 +159,9 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
     decreases enough.  The Newton step always descends the merit, whose
     test does not depend on how the rows are scaled; on badly scaled rows
     the residual norm alone admits only tiny steps.  Returns (z, lam, Newton
-    steps, whether eta and the dual residual cleared their tolerances),
-    stopping early once ``stop(row values)`` holds.
+    steps, whether eta and the dual residual cleared their tolerances, the
+    problem's evaluation at z), stopping early once ``stop(row values)``
+    holds.
     """
     sel, sign, coef = rows
     n = len(z) - 1
@@ -173,11 +174,12 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
     c[n] = direction
 
     def at(point: np.ndarray):
-        """Row values, F and its Jacobian DF at point, and the weighted row Hessian."""
-        vals, jac, weighted_hessian = problem.evaluate(point[:n])
+        """The problem's evaluation at point, then F and its Jacobian DF."""
+        evaluation = problem.evaluate(point[:n])
+        vals, jac, _ = evaluation
         f = np.concatenate([sign * vals[sel] + coef * point[n], lb_b - point[bounded]])
         df = np.vstack([np.column_stack([sign[:, None] * jac[sel], coef]), d_bounds])
-        return vals, f, df, weighted_hessian
+        return evaluation, f, df
 
     def residual(f, df, lam, t):
         """Norm of the modified KKT residual: dual, then centrality."""
@@ -186,11 +188,12 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
     def merit(point, f, t):
         return float(c @ point) - np.log(-f).sum() / t
 
-    vals, f, df, weighted_hessian = at(z)
+    evaluation, f, df = at(z)
     if lam is None:
         lam = np.maximum(df @ _solve_newton_system(df.T @ df, c), 1.0 / -f)
     steps = 0
     while True:
+        vals, _, weighted_hessian = evaluation
         eta = -float(f @ lam)
         r_dual = c + df.T @ lam
         # The dual residual is judged relative to the size of the terms it
@@ -198,9 +201,9 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
         # can keep it above _FEAS_TOL for hundreds of steps after eta clears.
         dual_ok = np.linalg.norm(r_dual) <= _FEAS_TOL * (1.0 + lam @ np.linalg.norm(df, axis=1))
         if (stop is not None and stop(vals)) or (eta <= _ETA_TOL and dual_ok):
-            return z, lam, steps, True
+            return z, lam, steps, True, evaluation
         if steps == _MAX_NEWTON:
-            return z, lam, steps, False
+            return z, lam, steps, False, evaluation
         steps += 1
         t = _MU * len(f) / eta
         weights = np.zeros(len(vals))
@@ -224,21 +227,22 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
                     break
             s *= _BACKTRACK
         else:
-            return z, lam, steps, False
+            return z, lam, steps, False, evaluation
         z, lam = cand, lam + s * dlam
-        vals, f, df, weighted_hessian = ev  # the accepted point's evaluation
+        evaluation, f, df = ev  # the accepted point's
 
 
-def _max_violation(problem: Rows, x: np.ndarray) -> float:
-    return float(max(problem.values(x)[problem.n_terms:], default=-1.0))
+def _max_violation(vals: np.ndarray, n_terms: int) -> float:
+    return float(max(vals[n_terms:], default=-1.0))
 
 
-def _phase_one(x: np.ndarray, problem: Rows) -> tuple[np.ndarray, bool, int]:
+def _phase_one(x: np.ndarray, problem: Rows) -> tuple[np.ndarray, np.ndarray, bool, int]:
     """
     Minimise the maximum constraint violation to recover a strictly
     feasible point.  Works on w = [x, s] with constraints g_j(x) - s <= 0
     plus the original lower bounds; stops as soon as s can be pushed
-    negative.
+    negative.  Returns the point, its row values, whether it is strictly
+    feasible, and the Newton steps taken.
     """
     n, n_t = problem.n, problem.n_terms
     lb = problem.bounds()
@@ -249,10 +253,10 @@ def _phase_one(x: np.ndarray, problem: Rows) -> tuple[np.ndarray, bool, int]:
     cons = problem.values(x)[n_t:]
     rows = (slice(n_t, None), np.ones(cons.size), -np.ones(cons.size))
     s0 = max(float(max(cons, default=-1.0)), 0.0) + 1.0
-    w, _, newton, _ = _primal_dual(  # minimise s
+    w, _, newton, _, (vals, _, _) = _primal_dual(  # minimise s
         problem, np.append(x, s0), None, rows, 1.0,
-        stop=lambda vals: max(vals[n_t:], default=-1.0) < -1e-12)
-    return w[:n], _max_violation(problem, w[:n]) < 0.0, newton
+        stop=lambda vals: _max_violation(vals, n_t) < -1e-12)
+    return w[:n], vals, _max_violation(vals, n_t) < 0.0, newton
 
 
 def solve_maxmin(problem: Rows) -> KernelResult:
@@ -275,16 +279,16 @@ def solve_maxmin(problem: Rows) -> KernelResult:
 
     newton_total, loops = 0, 1
     bounded = np.isfinite(lb)
-    if not (np.all(x[bounded] > lb[bounded]) and _max_violation(problem, x) < 0.0):
-        x, ok, newton_total = _phase_one(x, problem)
+    vals = problem.values(x) if np.all(x[bounded] > lb[bounded]) else None
+    if vals is None or not _max_violation(vals, n_t) < 0.0:
+        x, vals, ok, newton_total = _phase_one(x, problem)
         loops += 1
         if not ok:
             return KernelResult(
-                x=x, value=float(min(problem.values(x)[:n_t])),
-                max_violation=max(_max_violation(problem, x), 0.0), kkt_residual=np.inf,
+                x=x, value=float(min(vals[:n_t])),
+                max_violation=max(_max_violation(vals, n_t), 0.0), kkt_residual=np.inf,
                 newton_iters=newton_total, outer_iters=1, status=STATUS_INFEASIBLE_START)
 
-    vals = problem.values(x)
     m_c = len(vals) - n_t
     # Terms: e - f_i(x) < 0; constraints: g_j(x) < 0.
     sign = np.concatenate([-np.ones(n_t), np.ones(m_c)])
@@ -299,17 +303,17 @@ def solve_maxmin(problem: Rows) -> KernelResult:
             mult = warm.multipliers
             z, lam = pulled, np.concatenate(
                 [mult["terms"], mult["constraints"], mult["bounds"][bounded]])
-    z, lam, newton, done = _primal_dual(problem, z, lam, (slice(None), sign, coef), -1.0)
+    z, lam, newton, done, (vals, jac, _) = _primal_dual(
+        problem, z, lam, (slice(None), sign, coef), -1.0)
     newton_total += newton
 
     x_star = z[:n]
-    vals, jac, _ = problem.evaluate(x_star)
-    viol = max(float(max(vals[n_t:], default=-1.0)), 0.0)
+    viol = max(_max_violation(vals, n_t), 0.0)
     lam_rows = lam[:len(vals)]
     lam_bounds = np.zeros(n)
     lam_bounds[bounded] = lam[len(vals):]
     multipliers = {"terms": lam_rows[:n_t], "constraints": lam_rows[n_t:], "bounds": lam_bounds}
-    kkt = kkt_residual(problem, x_star, multipliers)
+    kkt = _kkt_residual(vals, jac, n_t, lb, x_star, multipliers)
     # The residual is judged relative to the size of the terms it cancels;
     # in raw units a badly scaled problem leaves dual noise proportional to
     # the multiplier magnitudes even at an optimal point.
@@ -330,14 +334,17 @@ def kkt_residual(problem: Rows, x: np.ndarray, multipliers: dict) -> float:
     products for the term caps, the constraints, and the active lower
     bounds.  Zero exactly at a KKT point.
     """
+    vals, jac, _ = problem.evaluate(x)
+    return _kkt_residual(vals, jac, problem.n_terms, problem.bounds(), x, multipliers)
+
+
+def _kkt_residual(vals: np.ndarray, jac: np.ndarray, n_t: int, lb: np.ndarray,
+                  x: np.ndarray, multipliers: dict) -> float:
+    """kkt_residual from the row values and Jacobian at x."""
     lam_t = np.asarray(multipliers["terms"], dtype=float)
     lam_g = np.asarray(multipliers["constraints"], dtype=float)
     lam_b = np.asarray(multipliers["bounds"], dtype=float)
-    lb = problem.bounds()
     bounded = np.isfinite(lb)
-    n_t = problem.n_terms
-
-    vals, jac, _ = problem.evaluate(x)
     term_vals = vals[:n_t]
     stat_x = lam_g @ jac[n_t:] - lam_t @ jac[:n_t]
     stat_x[bounded] -= lam_b[bounded]

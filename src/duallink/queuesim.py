@@ -20,6 +20,9 @@ from .link import ScenarioParams, sample_blockage_batch
 
 # Shortest trace whose delay estimate and stability verdict are reported.
 MIN_DELAY_HORIZON = 1000
+# Slots per block of the queue recursion.  Whole columns as Python lists
+# would add about 7 MB per class to a 100,000-slot run.
+_LEVEL_BLOCK = 4096
 
 
 @dataclass
@@ -81,29 +84,37 @@ def run_simulation(
     s_h = beta_r * (per_slot * stream_rates[0])
     s_l = beta_d * (per_slot * stream_rates[1])
 
-    q_h = np.empty(slots)
-    q_l = np.empty(slots)
-    level_h = 0.0
-    level_l = 0.0
-    for t in range(slots):
-        level_h = max(level_h - s_h[t], 0.0) + a_h[t]
-        level_l = max(level_l - s_l[t], 0.0) + a_l[t]
-        q_h[t] = level_h
-        q_l[t] = level_l
-
     digest = hashlib.sha256(repr(scenario).encode()).hexdigest()[:16]
     return QueueTrace(
-        a_h=a_h.astype(np.int64),
-        a_l=a_l.astype(np.int64),
-        s_h=s_h.astype(float),
-        s_l=s_l.astype(float),
+        a_h=a_h,
+        a_l=a_l,
+        s_h=s_h,
+        s_l=s_l,
         beta_d=beta_d,
         beta_r=beta_r,
-        q_h=q_h,
-        q_l=q_l,
+        q_h=_levels(s_h, a_h),
+        q_l=_levels(s_l, a_l),
         seed=seed,
         scenario_digest=digest,
     )
+
+
+def _levels(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """
+    Queue after each slot, q_t = max(q_{t-1} - s_t, 0) + a_t from an empty
+    queue, for service s and arrivals a.
+
+    The loop runs on Python floats, which is the same IEEE arithmetic as on
+    numpy scalars at about a fifth of the cost, one block of slots at a time; the
+    level carries across blocks.
+    """
+    q = np.empty(len(s))
+    level = 0.0
+    for lo in range(0, len(s), _LEVEL_BLOCK):
+        hi = lo + _LEVEL_BLOCK
+        q[lo:hi] = [level := max(level - s_t, 0.0) + a_t
+                    for s_t, a_t in zip(s[lo:hi].tolist(), a[lo:hi].tolist())]
+    return q
 
 
 def _diverging(q: np.ndarray, warm: int) -> bool:

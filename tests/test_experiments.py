@@ -20,7 +20,7 @@ from duallink import (
     spectral_efficiency,
     tipping_point,
 )
-from duallink.cli import _write_trace, main
+from duallink.cli import _TRACE_ROWS_PER_WRITE, _write_trace, main
 from duallink.experiments import CSV_HEADER, default_config, write_rows
 
 GOLDEN_SWEEP = os.path.join(os.path.dirname(__file__), "data", "sweep_default.csv")
@@ -380,31 +380,48 @@ def test_cli_simulate_honours_explicit_sweep_csv(tmp_path, monkeypatch, capsys):
     assert os.path.exists("trace.csv")
 
 
-def test_trace_writer_matches_csv_module(tmp_path):
-    # The column-wise writer gives the bytes of a csv.writer row loop with
-    # repr floats, across its block boundary.
-    slots = 10_000
+def _synthetic_trace(kind: str, slots: int) -> QueueTrace:
     rng = np.random.default_rng(5)
     ints = rng.integers(0, 300, (4, slots))
-    floats = rng.random((4, slots)) * 10.0 ** rng.integers(-20, 20, (4, slots))
-    floats[:, :3] = [0.0, 1e-300, 2.5]
-    trace = QueueTrace(ints[0], ints[1], floats[0], floats[1],
-                       ints[2].astype(np.int8), ints[3].astype(np.int8), floats[2], floats[3],
-                       seed=0, scenario_digest="synthetic")
-    fast = tmp_path / "fast.csv"
-    _write_trace(str(fast), trace)
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["slot", "a_h", "a_l", "beta_d", "beta_r", "s_h", "s_l", "q_h", "q_l"])
-        for t in range(slots):
-            writer.writerow([
-                t, int(trace.a_h[t]), int(trace.a_l[t]),
-                int(trace.beta_d[t]), int(trace.beta_r[t]),
-                repr(float(trace.s_h[t])), repr(float(trace.s_l[t])),
-                repr(float(trace.q_h[t])), repr(float(trace.q_l[t])),
-            ])
-    assert fast.read_bytes() == ref.read_bytes()
+    if kind == "random":
+        floats = rng.random((4, slots)) * 10.0 ** rng.integers(-20, 20, (4, slots))
+        floats[:, :3] = [0.0, 1e-300, 2.5][:slots]
+    else:
+        # Long runs of a few values, some whose text is easy to get wrong;
+        # -0.0 sits next to 0.0 in the first block.
+        pool = np.array([-0.0, 0.0, 5e-324, 1e16, 1e-5, 2.5, 1.0 / 3.0, 7.0])
+        values = rng.choice(pool, (4, slots))
+        lengths = rng.integers(1, 400, slots)
+        floats = np.repeat(values, lengths, axis=1)[:, :slots]
+        floats[:, :5] = [-0.0, 0.0, 5e-324, 1e16, 1e-5][:slots]
+        ints = np.repeat(ints, lengths, axis=1)[:, :slots] % 3
+    return QueueTrace(ints[0], ints[1], floats[0], floats[1],
+                      ints[2].astype(np.int8), ints[3].astype(np.int8), floats[2], floats[3],
+                      seed=0, scenario_digest="synthetic")
+
+
+def test_trace_writer_matches_csv_module(tmp_path):
+    # The column-wise writer gives the bytes of a csv.writer row loop with
+    # repr floats, across its block boundaries.
+    for kind in ("random", "runs"):
+        for slots in (1, _TRACE_ROWS_PER_WRITE - 1, _TRACE_ROWS_PER_WRITE,
+                      _TRACE_ROWS_PER_WRITE + 1, 10_000):
+            trace = _synthetic_trace(kind, slots)
+            fast = tmp_path / "fast.csv"
+            _write_trace(str(fast), trace)
+            ref = tmp_path / "ref.csv"
+            with open(ref, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["slot", "a_h", "a_l", "beta_d", "beta_r",
+                                 "s_h", "s_l", "q_h", "q_l"])
+                for t in range(slots):
+                    writer.writerow([
+                        t, int(trace.a_h[t]), int(trace.a_l[t]),
+                        int(trace.beta_d[t]), int(trace.beta_r[t]),
+                        repr(float(trace.s_h[t])), repr(float(trace.s_l[t])),
+                        repr(float(trace.q_h[t])), repr(float(trace.q_l[t])),
+                    ])
+            assert fast.read_bytes() == ref.read_bytes(), (kind, slots)
 
 
 def test_cli_simulate_rejects_short_horizon(tmp_path, monkeypatch, capsys):

@@ -91,8 +91,9 @@ def _ball_problem(x0):
 
 def test_phase_one_repairs_ball_start():
     problem = _ball_problem([2.0, 1.5])
-    x, ok, steps = _phase_one(problem.x0, problem)
+    x, vals, ok, steps = _phase_one(problem.x0, problem)
     assert ok and 0 < steps
+    assert vals.tobytes() == problem.values(x).tobytes()
     assert np.all(x > 0.0) and float(x @ x) < 1.0
 
     res = solve_maxmin(problem)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from duallink import QueueTrace, ScenarioParams, mean_delay, run_simulation
+from duallink.queuesim import _LEVEL_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +114,40 @@ def test_stability_with_service_margin(scenario):
     stats = mean_delay(trace, scenario.alpha, scenario.arrival_rate,
                        scenario.slot_duration)
     assert stats.stable
+
+
+def _service_rates(scenario, margin_h, margin_l):
+    """Rates that serve margin times each class's mean arrivals, routes allowing."""
+    serv = scenario.slot_duration / scenario.packet_size
+    return (margin_h * scenario.alpha * scenario.arrival_rate / ((1 - scenario.q_r) * serv),
+            margin_l * (1 - scenario.alpha) * scenario.arrival_rate / ((1 - scenario.q_d) * serv))
+
+
+# Loads: light (both queues mostly empty), heavy (LC served at half its
+# arrival rate, so its queue never empties), and no service at all.
+_LOADS = {"light": (3.0, 3.0), "heavy": (1.05, 0.5), "none": (0.0, 0.0)}
+
+
+@pytest.mark.parametrize("slots", [1, _LEVEL_BLOCK - 1, _LEVEL_BLOCK, _LEVEL_BLOCK + 1, 100_000])
+@pytest.mark.parametrize("load", sorted(_LOADS))
+def test_recursion_matches_scalar_loop(scenario, load, slots):
+    # The blocked recursion on Python floats gives the bits of a slot-by-slot
+    # loop on numpy scalars, with the level carried across block boundaries.
+    trace = run_simulation(scenario, _service_rates(scenario, *_LOADS[load]), slots, seed=21)
+    if load == "heavy":
+        assert trace.q_l.min() > 0.0
+    for q, a, s in ((trace.q_h, trace.a_h, trace.s_h),
+                    (trace.q_l, trace.a_l, trace.s_l)):
+        ref = np.empty(slots)
+        level = 0.0
+        for t in range(slots):
+            level = max(level - s[t], 0.0) + a[t]
+            ref[t] = level
+        assert q.tobytes() == ref.tobytes()
+    for name, dtype in (("a_h", np.int64), ("a_l", np.int64), ("beta_d", np.int8),
+                        ("beta_r", np.int8), ("s_h", np.float64), ("s_l", np.float64),
+                        ("q_h", np.float64), ("q_l", np.float64)):
+        assert getattr(trace, name).dtype == dtype, name
 
 
 def _constant_trace(level_h: float, level_l: float, slots: int) -> QueueTrace:
