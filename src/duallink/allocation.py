@@ -8,7 +8,8 @@ outer iteration replaces the SINR ratios by their quadratic-transform
 surrogates at fixed auxiliary multipliers and solves the resulting convex
 program with the interior-point kernel, started from the previous
 iteration's solution and multipliers; one such run on reweighted gaps finds
-the largest stabilisable arrival rate.  A simplex-grid brute-force search
+the largest stabilisable arrival rate, which is closed form when only one
+class carries traffic.  A simplex-grid brute-force search
 over the closed-form objective serves as an independent check.
 """
 
@@ -322,16 +323,40 @@ def capacity_allocation(scenario: ScenarioParams, alpha: float | None = None) ->
     A is stabilisable exactly when both gaps are nonnegative at some power
     split, so a* = max over powers of min((1 - q_r) serv se_h / alpha,
     (1 - q_d) serv se_l / (1 - alpha)): the gap objective weighted by
-    (1/alpha, 1/(1 - alpha)) at zero arrivals, found by one SCA run.  At
-    alpha = 0 or 1 the absent stream's term is dropped.  The objective is
-    a*; the gaps are those at a*, zero up to solver tolerance.
+    (1/alpha, 1/(1 - alpha)) at zero arrivals, found by one SCA run.  The
+    objective is a*; the gaps are those at a*, zero up to solver tolerance.
+
+    At alpha = 0 or 1 the absent stream's term is dropped and the optimum is
+    closed form, so no inner solve runs (``iterations`` is 0):
+    - alpha = 0: only sinr_l = (w_d p_ld + w_r p_lr)/N counts, at most
+      max(w_d, w_r) P/N, attained with all of P on the better LC beam;
+    - alpha = 1: sinr_h <= sinr_h0 = w_r p_hr/(w_r p_lr + N) <= w_r P/N,
+      attained with all of P on the reflected HC beam.
     """
     alpha = scenario.alpha if alpha is None else alpha
     weights = (1.0 / alpha if alpha > 0.0 else 0.0,
                1.0 / (1.0 - alpha) if alpha < 1.0 else 0.0)
-    res = _sca(scenario, alpha, 0.0, weights, (0.0, 0.0))
+    if 0.0 < alpha < 1.0:
+        res = _sca(scenario, alpha, 0.0, weights, (0.0, 0.0))
+    else:
+        res = _single_stream(scenario, alpha, weights)
     res.gap_h, res.gap_l = objective_for_powers(res.power, scenario, alpha, res.objective)[2:4]
     return res
+
+
+def _single_stream(scenario, alpha, weights):
+    """capacity_allocation's closed-form optimum at alpha <= 0 or alpha >= 1."""
+    w_d, w_r, noise_w, serv = _coeffs(scenario)
+    forms = decoding_forms(w_d, w_r)
+    p_max = scenario.p_max
+    if alpha >= 1.0:
+        p = PowerAllocation(0.0, p_max, 0.0, 0.0)
+    elif w_d >= w_r:
+        p = PowerAllocation(0.0, 0.0, p_max, 0.0)
+    else:
+        p = PowerAllocation(0.0, 0.0, 0.0, p_max)
+    evals = _evaluate(p, forms, noise_w, serv, scenario, alpha, 0.0, weights)
+    return _result(p, evals, forms, noise_w, 0, True, [evals[4]])
 
 
 def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False):
@@ -378,6 +403,11 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False):
             converged = True
             break
 
+    return _result(p, evals, forms, noise_w, iterations, converged, history)
+
+
+def _result(p, evals, forms, noise_w, iterations, converged, history):
+    """SolveResult at powers p from their closed-form evaluation ``evals``."""
     rate_h, rate_l, gap_h, gap_l, obj = evals
     sinr_h0, sinr_h1, sinr_l = decoding_sinrs(forms, astuple(p), noise_w)
     return SolveResult(

@@ -14,17 +14,20 @@ from duallink import (
     approx_sinrs,
     brute_force_oracle,
     capacity_allocation,
+    default_config,
     g_h,
     g_l,
     link_gains,
     max_feasible_arrival,
     objective_for_powers,
+    oma_max_feasible_arrival,
     optimal_mu,
     sca_power_allocation,
     solve_maxmin,
     weighted_min_gap,
 )
-from duallink.allocation import _build_subproblem, _coeffs
+from duallink import allocation
+from duallink.allocation import _build_subproblem, _coeffs, _sca
 from duallink.link import decoding_forms
 from test_acceptance import _random_scenario
 
@@ -414,3 +417,96 @@ def test_capacity_allocation_balances_gaps_at_a_star(scenario):
     )
     assert (res.rate_h, res.rate_l, res.gap_h, res.gap_l) == (rate_h, rate_l, gap_h, gap_l)
     assert max(abs(gap_h), abs(gap_l)) <= 1e-6 * res.objective
+
+
+def _far_reflector():
+    # Longer reflector elements make the reflected LC beam the stronger one.
+    base = ScenarioParams()
+    return replace(base, l_x=100 * base.l_x)
+
+
+def _closed_form_a_star(sc, alpha):
+    # a* with one stream absent: all power on the better beam of the other.
+    w_d, w_r, noise_w, serv = _coeffs(sc)
+    if alpha >= 1.0:
+        return (1.0 - sc.q_r) * serv * math.log2(1.0 + w_r * sc.p_max / noise_w)
+    return (1.0 - sc.q_d) * serv * math.log2(1.0 + max(w_d, w_r) * sc.p_max / noise_w)
+
+
+ENDPOINTS = [
+    pytest.param(ScenarioParams(), 0.0, "p_l_d", id="default-alpha-0"),
+    pytest.param(ScenarioParams(), 1.0, "p_h_r", id="default-alpha-1"),
+    pytest.param(_far_reflector(), 0.0, "p_l_r", id="far-reflector-alpha-0"),
+    pytest.param(_far_reflector(), 1.0, "p_h_r", id="far-reflector-alpha-1"),
+]
+
+
+@pytest.mark.parametrize("sc, alpha, route", ENDPOINTS)
+def test_capacity_allocation_closed_form_at_endpoints(sc, alpha, route):
+    res = capacity_allocation(sc, alpha)
+    assert res.objective == pytest.approx(_closed_form_a_star(sc, alpha), rel=1e-15, abs=0.0)
+    assert res.iterations == 0 and res.converged
+    assert res.objective_history == [res.objective]
+    powers = {name: getattr(res.power, name) for name in ("p_h_d", "p_h_r", "p_l_d", "p_l_r")}
+    assert powers.pop(route) == sc.p_max
+    assert set(powers.values()) == {0.0}
+    assert (res.gap_h, res.gap_l) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("sc, alpha, route", ENDPOINTS)
+def test_sca_never_beats_endpoint_closed_form(sc, alpha, route):
+    weights = (1.0, 0.0) if alpha >= 1.0 else (0.0, 1.0)
+    res = _sca(sc, alpha, 0.0, weights, (0.0, 0.0))
+    assert res.objective <= _closed_form_a_star(sc, alpha) * (1.0 + 1e-12)
+
+
+def test_capacity_endpoints_make_no_inner_solve(monkeypatch):
+    def fail(problem):
+        raise AssertionError("inner solve at an endpoint")
+
+    monkeypatch.setattr(allocation, "solve_maxmin", fail)
+    for sc, alpha, _ in (case.values for case in ENDPOINTS):
+        assert capacity_allocation(sc, alpha).iterations == 0
+
+
+def test_max_feasible_arrival_lc_only_equals_time_sharing(scenario):
+    # With no HC traffic superposition and time sharing coincide.
+    assert max_feasible_arrival(scenario, 0.0) == pytest.approx(
+        oma_max_feasible_arrival(scenario, 0.0), rel=1e-15, abs=0.0)
+
+
+def _reduced_form_a_star(sc, alpha):
+    """
+    The value of one feasible allocation for 0 < alpha < 1, hence a lower
+    bound on a*: no LC power on the reflector beam, a tight budget and
+    p_hd = (w_r p_hr / N) p_ld, which makes both HC cases decode at
+    w_r p_hr / N; p_hr is bisected until the two capacity terms meet.
+    """
+    w_d, w_r, noise_w, _ = _coeffs(sc)
+    weights = (1.0 / alpha, 1.0 / (1.0 - alpha))
+
+    def terms(p_hr):
+        k = w_r * p_hr / noise_w
+        p_ld = (sc.p_max - p_hr) / (1.0 + k)
+        _, _, gap_h, gap_l, obj = objective_for_powers(
+            PowerAllocation(k * p_ld, p_hr, p_ld, 0.0), sc, alpha, 0.0, weights)
+        return weights[0] * gap_h, weights[1] * gap_l, obj
+
+    lo, hi = 0.0, sc.p_max
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        hc, lc, _ = terms(mid)
+        lo, hi = (mid, hi) if hc < lc else (lo, mid)
+    return max(terms(lo)[2], terms(hi)[2])
+
+
+def _interior_cases():
+    rng = np.random.default_rng(42)
+    grid = [(ScenarioParams(), a) for a in default_config().grid if 0.0 < a < 1.0]
+    return grid + [_random_scenario(rng) for _ in range(20)]
+
+
+@pytest.mark.parametrize("sc, alpha", _interior_cases())
+def test_capacity_allocation_reaches_reduced_form(sc, alpha):
+    ref = _reduced_form_a_star(sc, alpha)
+    assert ref > 0.0
+    assert capacity_allocation(sc, alpha).objective >= ref * (1.0 - 1e-9)
