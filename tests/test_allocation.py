@@ -1,7 +1,7 @@
 """Allocator tests: transform identities, closed-form anchors, oracle checks."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -447,7 +447,7 @@ def test_capacity_allocation_closed_form_at_endpoints(sc, alpha, route):
     assert res.objective == pytest.approx(_closed_form_a_star(sc, alpha), rel=1e-15, abs=0.0)
     assert res.iterations == 0 and res.converged
     assert res.objective_history == [res.objective]
-    powers = {name: getattr(res.power, name) for name in ("p_h_d", "p_h_r", "p_l_d", "p_l_r")}
+    powers = asdict(res.power)
     assert powers.pop(route) == sc.p_max
     assert set(powers.values()) == {0.0}
     assert (res.gap_h, res.gap_l) == (0.0, 0.0)

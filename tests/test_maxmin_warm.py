@@ -44,20 +44,16 @@ def _draws(count):
     return [_random_scenario(rng) for _ in range(count)]
 
 
-def _capacity_runs(alphas):
-    return [pytest.param(lambda a=a: allocation.capacity_allocation(ScenarioParams(), a),
-                         id=f"capacity-alpha-{a}") for a in alphas]
-
-
 RUNS = [
-    *_capacity_runs((0.1, 0.5, 0.9)),
+    *(pytest.param(lambda a=a: allocation.capacity_allocation(ScenarioParams(), a),
+                   id=f"capacity-alpha-{a}") for a in (0.1, 0.5, 0.9)),
     *(pytest.param(lambda sc=sc, a=a: allocation.sca_power_allocation(sc, a, 700.0),
                    id=f"criterion-4-draw-{i}") for i, (sc, a) in enumerate(_draws(5))),
 ]
 # capacity_allocation is closed form at alpha = 0 or 1, so the degenerate
 # rows of an absent stream reach the kernel through the gap form only.
 KKT_RUNS = [
-    *_capacity_runs((0.1,)),
+    RUNS[0],
     *(pytest.param(lambda a=a: allocation.sca_power_allocation(ScenarioParams(), a, 700.0),
                    id=f"gap-alpha-{a}") for a in (0.0, 1.0)),
 ]
