@@ -8,9 +8,10 @@ outer iteration replaces the SINR ratios by their quadratic-transform
 surrogates at fixed auxiliary multipliers and solves the resulting convex
 program with the interior-point kernel, started from the previous
 iteration's solution and multipliers; one such run on reweighted gaps finds
-the largest stabilisable arrival rate, which is closed form when only one
-class carries traffic.  A simplex-grid brute-force search
-over the closed-form objective serves as an independent check.
+the largest stabilisable arrival rate.  When only one class carries traffic
+both the gap and the capacity optimum are closed form and no inner solve
+runs.  A simplex-grid brute-force search over the closed-form objective
+serves as an independent check.
 """
 
 from __future__ import annotations
@@ -85,11 +86,16 @@ def weighted_min_gap(alpha: float, gap_h: float, gap_l: float) -> float:
     At alpha = 0 (or 1) the absent stream would pin the plain weighted min
     at zero regardless of the allocation, so the degenerate term is dropped.
     """
-    if alpha <= 0.0:
-        return (1.0 - alpha) * gap_l
-    if alpha >= 1.0:
-        return alpha * gap_h
-    return min(alpha * gap_h, (1.0 - alpha) * gap_l)
+    return float(_weighted_min(alpha, 1.0 - alpha, gap_h, gap_l))
+
+
+def _weighted_min(w_h, w_l, gap_h, gap_l):
+    """min(w_h gap_h, w_l gap_l), dropping a term whose weight is not positive."""
+    if w_h <= 0.0:
+        return w_l * gap_l
+    if w_l <= 0.0:
+        return w_h * gap_h
+    return np.minimum(w_h * gap_h, w_l * gap_l)
 
 
 def _surrogate(gamma: float, mu: float, signal: float, interference: float) -> float:
@@ -140,20 +146,17 @@ def _multipliers(p: PowerAllocation, forms, noise_w: float) -> AuxiliaryMu:
 
 
 def _objective_terms_np(p, forms, noise_w, serv, q_d, q_r, alpha, arrival, w_h, w_l):
-    """Vectorised closed-form rates, gaps and min(w_h gap_h, w_l gap_l) at powers p."""
+    """
+    Vectorised closed-form spectral efficiencies, gaps, the objective
+    min(w_h gap_h, w_l gap_l) and the decoding SINRs at powers p.
+    """
     sinr_h0, sinr_h1, sinr_l = decoding_sinrs(forms, p, noise_w)
     sinr_h = np.minimum(sinr_h0, sinr_h1)
     se_h = np.log2(1.0 + sinr_h)
     se_l = np.log2(1.0 + sinr_l)
     gap_h = (1.0 - q_r) * serv * se_h - alpha * arrival
     gap_l = (1.0 - q_d) * serv * se_l - (1.0 - alpha) * arrival
-    if w_h <= 0.0:
-        obj = w_l * gap_l
-    elif w_l <= 0.0:
-        obj = w_h * gap_h
-    else:
-        obj = np.minimum(w_h * gap_h, w_l * gap_l)
-    return se_h, se_l, gap_h, gap_l, obj
+    return se_h, se_l, gap_h, gap_l, _weighted_min(w_h, w_l, gap_h, gap_l), sinr_h, sinr_l
 
 
 def objective_for_powers(
@@ -176,15 +179,20 @@ def objective_for_powers(
     arrival = scenario.arrival_rate if arrival is None else arrival
     weights = (alpha, 1.0 - alpha) if weights is None else weights
     w_d, w_r, noise_w, serv = _coeffs(scenario)
-    return _evaluate(p, decoding_forms(w_d, w_r), noise_w, serv, scenario, alpha, arrival, weights)
+    res = _evaluate(p, decoding_forms(w_d, w_r), noise_w, serv, scenario, alpha, arrival, weights)
+    return res.rate_h, res.rate_l, res.gap_h, res.gap_l, res.objective
 
 
-def _evaluate(p, forms, noise_w, serv, scenario, alpha, arrival, weights):
-    """objective_for_powers from the true decoding forms, noise and service factor."""
-    se_h, se_l, gap_h, gap_l, obj = _objective_terms_np(
-        astuple(p), forms, noise_w, serv, scenario.q_d, scenario.q_r, alpha, arrival, *weights)
+def _evaluate(p, forms, noise_w, serv, scenario, alpha, arrival, weights) -> SolveResult:
+    """
+    Closed-form SolveResult at powers p from the true decoding forms, noise
+    and service factor, as a run that made no inner solve reports it.
+    """
+    se_h, se_l, gap_h, gap_l, obj, sinr_h, sinr_l = (float(v) for v in _objective_terms_np(
+        astuple(p), forms, noise_w, serv, scenario.q_d, scenario.q_r, alpha, arrival, *weights))
     bandwidth = scenario.bandwidth
-    return float(se_h) * bandwidth, float(se_l) * bandwidth, float(gap_h), float(gap_l), float(obj)
+    return SolveResult(p, se_h * bandwidth, se_l * bandwidth, gap_h, gap_l, sinr_h, sinr_l, obj,
+                       iterations=0, converged=True, objective_history=[obj])
 
 
 @dataclass
@@ -195,47 +203,46 @@ class _Subproblem:
     lin @ x + const, less 2 mu sqrt(a @ x) on the three surrogate rows and
     log2(1 + gamma) on the two rate caps.  Row order: the terms, the rate
     caps (HC, LC), the surrogates (HC direct down, HC direct up, LC), the
-    power budget.  ``warm`` is the previous SCA iteration's inner solve,
-    the kernel's start; its rows have the same layout.
+    power budget; rows 0-1, 2-3, 4-6 and 7.  ``warm`` is the previous SCA
+    iteration's inner solve, the kernel's start; its rows have the same
+    layout.
     """
 
-    n_terms: int
     lin: np.ndarray
     const: np.ndarray
     a: np.ndarray
     mu: np.ndarray
     x0: np.ndarray
     n: int = 8
+    n_terms: int = 2
     warm: KernelResult | None = None
 
     def bounds(self) -> np.ndarray:
         return np.zeros(self.n)
 
     def _parts(self, x):
-        k = self.n_terms
         arg = np.maximum(self.a @ x, _SQRT_FLOOR)
         root = np.sqrt(arg)
         vals = self.lin @ x + self.const
-        vals[k:k + 2] -= np.log2(1.0 + x[6:8])
-        vals[k + 2:k + 5] -= 2.0 * self.mu * root
+        vals[2:4] -= np.log2(1.0 + x[6:8])
+        vals[4:7] -= 2.0 * self.mu * root
         return vals, arg, root
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return self._parts(x)[0]
 
     def evaluate(self, x: np.ndarray):
-        k = self.n_terms
         vals, arg, root = self._parts(x)
         gam1 = 1.0 + x[6:8]
         jac = self.lin.copy()
-        jac[[k, k + 1], [6, 7]] -= 1.0 / (gam1 * _LN2)
-        jac[k + 2:k + 5] -= (self.mu / root)[:, None] * self.a
+        jac[[2, 3], [6, 7]] -= 1.0 / (gam1 * _LN2)
+        jac[4:7] -= (self.mu / root)[:, None] * self.a
         curv_cap = 1.0 / (gam1**2 * _LN2)
         curv_sur = self.mu / (2.0 * arg * root)
 
         def weighted_hessian(w: np.ndarray) -> np.ndarray:
-            hess = self.a.T @ ((w[k + 2:k + 5] * curv_sur)[:, None] * self.a)
-            hess[[6, 7], [6, 7]] += w[k:k + 2] * curv_cap
+            hess = self.a.T @ ((w[4:7] * curv_sur)[:, None] * self.a)
+            hess[[6, 7], [6, 7]] += w[2:4] * curv_cap
             return hess
 
         return vals, jac, weighted_hessian
@@ -247,33 +254,29 @@ def _build_subproblem(p: PowerAllocation, mu: AuxiliaryMu, scenario: ScenarioPar
     """
     Convex inner problem at multipliers mu, with u = power / p_max and
     r = rate / bandwidth.  Objective terms are w (1 - q) serv r + offset per
-    stream; a zero weight drops its term.  ``forms`` are the decoding forms
+    stream, both weights positive.  ``forms`` are the decoding forms
     (HC direct down, HC direct up, LC); surrogate j reads
     gamma - 2 mu_j sqrt(signal_j) + mu_j^2 (interference_j + noise).
     """
     p_max = scenario.p_max
-    slopes = (weights[0] * (1.0 - scenario.q_r) * serv,
-              weights[1] * (1.0 - scenario.q_d) * serv)
-    streams = [k for k in (0, 1) if weights[k] > 0.0]
-    k = len(streams)
-    lin = np.zeros((k + 6, 8))
-    const = np.zeros(k + 6)
-    for row, stream in enumerate(streams):
-        lin[row, 4 + stream] = slopes[stream]
-        const[row] = offsets[stream]
-    lin[k, 4] = lin[k + 1, 5] = 1.0  # r - log2(1 + gamma)
+    lin = np.zeros((8, 8))
+    const = np.zeros(8)
+    lin[0, 4] = weights[0] * (1.0 - scenario.q_r) * serv
+    lin[1, 5] = weights[1] * (1.0 - scenario.q_d) * serv
+    const[:2] = offsets
+    lin[2, 4] = lin[3, 5] = 1.0  # r - log2(1 + gamma)
     mus = np.array([mu.mu_h0, mu.mu_h1, mu.mu_l])
     a = np.zeros((3, 8))
     for j, (g_idx, (sig, interf)) in enumerate(zip((6, 6, 7), forms)):
-        row = k + 2 + j
+        row = 4 + j
         lin[row, g_idx] = 1.0
         for i, c in sig:
             a[j, i] = c * p_max
         for i, c in interf:
             lin[row, i] = mus[j]**2 * (c * p_max)
         const[row] = mus[j]**2 * noise_w
-    lin[k + 5, :4] = 1.0  # the budget u_hd + u_hr + u_ld + u_lr <= 1
-    const[k + 5] = -1.0
+    lin[7, :4] = 1.0  # the budget u_hd + u_hr + u_ld + u_lr <= 1
+    const[7] = -1.0
 
     # A strictly feasible start: powers pulled inside the simplex, SINR
     # targets halfway to their surrogate caps, rates halfway to capacity.
@@ -284,8 +287,8 @@ def _build_subproblem(p: PowerAllocation, mu: AuxiliaryMu, scenario: ScenarioPar
         u0 *= 0.999 / total
     x0 = np.zeros(8)
     x0[:4] = u0
-    sub = _Subproblem(k, lin, const, a, mus, x0)
-    caps = -sub.values(x0)[k + 2:k + 5]
+    sub = _Subproblem(lin, const, a, mus, x0)
+    caps = -sub.values(x0)[4:7]
     x0[6:8] = np.maximum(0.5 * np.array([min(caps[0], caps[1]), caps[2]]), 1e-14)
     x0[4:6] = 0.5 * np.log2(1.0 + x0[6:8])
     return sub
@@ -308,6 +311,8 @@ def sca_power_allocation(
     that makes the objective worse is rejected and iteration stops with
     ``converged`` false.  With ``stop_when_nonneg`` the loop exits as soon
     as the objective reaches zero, which is all a feasibility test needs.
+    At alpha = 0 or 1 the optimum is closed form, as in
+    capacity_allocation, and no inner solve runs (``iterations`` is 0).
     """
     alpha = scenario.alpha if alpha is None else alpha
     arrival = scenario.arrival_rate if arrival is None else arrival
@@ -332,58 +337,50 @@ def capacity_allocation(scenario: ScenarioParams, alpha: float | None = None) ->
       max(w_d, w_r) P/N, attained with all of P on the better LC beam;
     - alpha = 1: sinr_h <= sinr_h0 = w_r p_hr/(w_r p_lr + N) <= w_r P/N,
       attained with all of P on the reflected HC beam.
+    The gap form is increasing in the remaining class's SINR as well, so
+    sca_power_allocation shares these optima.
     """
     alpha = scenario.alpha if alpha is None else alpha
     weights = (1.0 / alpha if alpha > 0.0 else 0.0,
                1.0 / (1.0 - alpha) if alpha < 1.0 else 0.0)
-    if 0.0 < alpha < 1.0:
-        res = _sca(scenario, alpha, 0.0, weights, (0.0, 0.0))
-    else:
-        res = _single_stream(scenario, alpha, weights)
+    res = _sca(scenario, alpha, 0.0, weights, (0.0, 0.0))
     res.gap_h, res.gap_l = objective_for_powers(res.power, scenario, alpha, res.objective)[2:4]
     return res
 
 
-def _single_stream(scenario, alpha, weights):
-    """capacity_allocation's closed-form optimum at alpha <= 0 or alpha >= 1."""
-    w_d, w_r, noise_w, serv = _coeffs(scenario)
-    forms = decoding_forms(w_d, w_r)
-    p_max = scenario.p_max
-    if alpha >= 1.0:
-        p = PowerAllocation(0.0, p_max, 0.0, 0.0)
-    elif w_d >= w_r:
-        p = PowerAllocation(0.0, 0.0, p_max, 0.0)
-    else:
-        p = PowerAllocation(0.0, 0.0, 0.0, p_max)
-    evals = _evaluate(p, forms, noise_w, serv, scenario, alpha, 0.0, weights)
-    return _result(p, evals, forms, noise_w, 0, True, [evals[4]])
-
-
 def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False):
-    """SCA loop for min(w_h gap_h, w_l gap_l) at ``arrival``; offsets: negated weighted demands."""
+    """
+    SCA loop for min(w_h gap_h, w_l gap_l) at ``arrival``; offsets: negated
+    weighted demands.  A weight that is not positive leaves one class, whose
+    optimum is capacity_allocation's closed form.
+    """
     w_d, w_r, noise_w, serv = _coeffs(scenario)
     forms = decoding_forms(w_d, w_r)
 
     def closed_form(p):
         return _evaluate(p, forms, noise_w, serv, scenario, alpha, arrival, weights)
 
-    quarter = scenario.p_max / 4.0
-    p = PowerAllocation(quarter, quarter, quarter, quarter)
-    # (rate_h, rate_l, gap_h, gap_l, objective) at the accepted powers p.
-    evals = closed_form(p)
-    history = [evals[4]]
+    p_max = scenario.p_max
+    if weights[1] <= 0.0:
+        return closed_form(PowerAllocation(0.0, p_max, 0.0, 0.0))
+    if weights[0] <= 0.0:
+        return closed_form(PowerAllocation(0.0, 0.0, p_max, 0.0) if w_d >= w_r
+                           else PowerAllocation(0.0, 0.0, 0.0, p_max))
+
+    quarter = p_max / 4.0
+    best = closed_form(PowerAllocation(quarter, quarter, quarter, quarter))
+    history = best.objective_history
     converged = False
     iterations = 0
     result = None
 
     for _ in range(_SCA_MAX_ITERS):
-        obj = history[-1]
+        obj = best.objective
         if stop_when_nonneg and obj >= 0.0:
             break
-        floor = _MU_POWER_FLOOR * scenario.p_max
-        p_mu = PowerAllocation(*np.maximum(p.as_array(), floor))
+        p_mu = PowerAllocation(*np.maximum(best.power.as_array(), _MU_POWER_FLOOR * p_max))
         mu = _multipliers(p_mu, forms, noise_w)
-        problem = _build_subproblem(p, mu, scenario, weights, offsets, forms, noise_w, serv)
+        problem = _build_subproblem(best.power, mu, scenario, weights, offsets, forms, noise_w, serv)
         problem.warm = result  # start from the previous solve's point and multipliers
         result = solve_maxmin(problem)
         if result.status == STATUS_INFEASIBLE_START:
@@ -392,37 +389,17 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False):
                 f"violation={result.max_violation:.3e}, kkt={result.kkt_residual:.3e}"
             )
         iterations += 1
-        p_new = PowerAllocation(*(np.clip(result.x[:4], 0.0, None) * scenario.p_max))
-        evals_new = closed_form(p_new)
-        obj_new = evals_new[4]
-        if obj_new < obj - 1e-9 * max(1.0, abs(obj)):
+        new = closed_form(PowerAllocation(*(np.clip(result.x[:4], 0.0, None) * p_max)))
+        if new.objective < obj - 1e-9 * max(1.0, abs(obj)):
             break  # a worse iterate: reject it and stop unconverged
-        p, evals = p_new, evals_new
-        history.append(obj_new)
-        if abs(obj_new - obj) <= _SCA_REL_TOL * max(1.0, abs(obj_new)):
+        best = new
+        history.append(new.objective)
+        if abs(new.objective - obj) <= _SCA_REL_TOL * max(1.0, abs(new.objective)):
             converged = True
             break
 
-    return _result(p, evals, forms, noise_w, iterations, converged, history)
-
-
-def _result(p, evals, forms, noise_w, iterations, converged, history):
-    """SolveResult at powers p from their closed-form evaluation ``evals``."""
-    rate_h, rate_l, gap_h, gap_l, obj = evals
-    sinr_h0, sinr_h1, sinr_l = decoding_sinrs(forms, astuple(p), noise_w)
-    return SolveResult(
-        power=p,
-        rate_h=rate_h,
-        rate_l=rate_l,
-        gap_h=gap_h,
-        gap_l=gap_l,
-        sinr_h=min(sinr_h0, sinr_h1),
-        sinr_l=sinr_l,
-        objective=obj,
-        iterations=iterations,
-        converged=converged,
-        objective_history=history,
-    )
+    best.iterations, best.converged, best.objective_history = iterations, converged, history
+    return best
 
 
 def brute_force_oracle(
@@ -464,10 +441,10 @@ def brute_force_oracle(
         p_h_r = j[sel] * step
         p_l_d = k[sel] * step
         p_l_r = m[sel] * step
-        *_, obj = _objective_terms_np(
+        obj = _objective_terms_np(
             (i * step, p_h_r, p_l_d, p_l_r), forms, noise_w, serv,
             scenario.q_d, scenario.q_r, alpha, arrival, alpha, 1.0 - alpha,
-        )
+        )[4]
         t = int(np.argmax(obj))
         if obj[t] > best_obj:
             best_obj = float(obj[t])

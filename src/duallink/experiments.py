@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ConfigValidationError("workers must be >= 1")
         if self.seed < 0:
             raise ConfigValidationError("seed must be >= 0")
+        if self.out == "":
+            raise ConfigValidationError("out must name a file")
 
 
 @dataclass(frozen=True)
@@ -343,15 +345,17 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     Solve every sweep point, write the CSV (``config.out``, else SWEEP_OUT)
     and its sidecar, return the rows.
 
-    Points run independently (optionally in a process pool); rows are
-    ordered by sweep index then scheme regardless of completion order, so a
-    given config and seed always produce byte-identical output.
+    Points run independently (optionally in a process pool of at most one
+    worker per point); rows are ordered by sweep index then scheme
+    regardless of completion order, so a given config and seed always
+    produce byte-identical output.
     """
     if config.out is None:
         config = replace(config, out=SWEEP_OUT)
     payloads = [(config, i, v) for i, v in enumerate(config.grid)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_point, payloads))
     else:
         chunks = [_sweep_point(p) for p in payloads]

@@ -121,28 +121,24 @@ def _diverging(q: np.ndarray, warm: int) -> bool:
     """
     Trend test on the second half of a queue trajectory.
 
-    The second half is split into blocks; a positive regression slope on the
-    block means beyond three standard errors, together with a second-half
-    mean materially above the first-half mean, flags divergence.  Stable
-    near-critical queues wander widely, so both conditions are required.
+    The second half is split into ten blocks; a positive regression slope on
+    the block means beyond three standard errors, together with a
+    second-half mean materially above the mean of the first half past its
+    first ``warm`` slots, flags divergence.  Stable near-critical queues
+    wander widely, so both conditions are required.  Needs warm < len(q) // 2
+    and at least ten slots in the second half, which mean_delay's
+    MIN_DELAY_HORIZON floor and warm = len(q) // 10 guarantee.
     """
-    n = len(q)
-    mid = n // 2
-    if mid <= warm:
-        warm = 0
-    mean1 = float(q[warm:mid].mean()) if mid > warm else float(q[:mid].mean())
+    mid = len(q) // 2
+    mean1 = float(q[warm:mid].mean())
     mean2 = float(q[mid:].mean())
-    blocks = np.array_split(q[mid:], 10)
-    bm = np.array([b.mean() for b in blocks if len(b)])
-    if len(bm) < 3:
-        return mean2 > mean1 + max(0.05 * mean1, 1.0)
+    bm = np.array([b.mean() for b in np.array_split(q[mid:], 10)])
     x = np.arange(len(bm), dtype=float)
     xc = x - x.mean()
     denom = float(np.sum(xc * xc))
     slope = float(np.sum(xc * (bm - bm.mean())) / denom)
     resid = bm - bm.mean() - slope * xc
-    dof = max(len(bm) - 2, 1)
-    se = float(np.sqrt(np.sum(resid * resid) / dof / denom))
+    se = float(np.sqrt(np.sum(resid * resid) / (len(bm) - 2) / denom))
     significant = slope > 3.0 * se
     grew = mean2 > mean1 + max(0.05 * mean1, 1.0)
     return significant and grew

@@ -154,6 +154,18 @@ def test_delay_horizon_floor(tmp_path):
         load_config(write(tmp_path, "bad.cfg", "metrics = delay\nhorizon = 10\n"))
 
 
+def test_empty_out_rejected(tmp_path, monkeypatch, capsys):
+    with pytest.raises(ConfigValidationError, match="out"):
+        load_config(write(tmp_path, "bad.cfg", "out =\n"))
+
+    def never(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("duallink.cli.run_sweep", never)
+    assert main(["sweep", "--out", ""]) == 2
+    assert "error: out must name a file" in capsys.readouterr().err
+
+
 def test_comments_and_duplicates(tmp_path):
     cfg = load_config(write(tmp_path, "c.cfg", "# comment\nq_d = 0.35\n"))
     assert cfg.scenario.q_d == 0.35
@@ -268,6 +280,47 @@ def test_sweep_parallel_matches_serial(tmp_path):
     from dataclasses import replace
     parallel = run_sweep(replace(cfg, workers=2))
     assert parallel == serial
+
+
+def test_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
+    # A fake executor stands in for the process pool, so no process starts.
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("duallink.experiments.ProcessPoolExecutor", FakePool)
+    cfg, _ = _sweep_config(tmp_path)
+    serial = run_sweep(cfg)
+    assert run_sweep(replace(cfg, workers=5000)) == serial
+    assert run_sweep(replace(cfg, workers=2)) == serial
+    assert run_sweep(replace(cfg, grid=(0.05,), workers=5000)) == serial[2:4]
+    assert sizes == [3, 2]
+
+
+def test_delay_sweep_lc_only_matches_time_sharing(tmp_path):
+    # With no HC traffic both schemes put all power on the better LC beam,
+    # so the same seeded trace gives the same delay cells.
+    out = str(tmp_path / "d.csv")
+    cfg = load_config(write(
+        tmp_path, "exp.cfg",
+        f"grid = 0.0\nscheme = both\nmetrics = delay\nhorizon = 20000\nout = {out}\n",
+    ))
+    mcsc, oma = run_sweep(cfg)
+    assert (mcsc.scheme, oma.scheme) == ("mcsc", "oma")
+    assert (mcsc.tau_l_slots, mcsc.stable, mcsc.iterations) == (
+        oma.tau_l_slots, oma.stable, oma.iterations)
+    assert mcsc.iterations == 0
 
 
 def test_delay_metrics_rows(tmp_path):
