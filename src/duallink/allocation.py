@@ -164,7 +164,6 @@ def objective_for_powers(
     scenario: ScenarioParams,
     alpha: float | None = None,
     arrival: float | None = None,
-    weights: tuple[float, float] | None = None,
 ) -> tuple[float, float, float, float, float]:
     """
     Closed-form evaluation of rates, stability gaps, and the objective.
@@ -172,14 +171,14 @@ def objective_for_powers(
     The HC rate is capped by the worse of the two direct-route availability
     cases (the stream must stay decodable when that route is down); the LC
     rate assumes both routes up since it is only delivered then.
-    Returns (rate_h, rate_l, gap_h, gap_l, min(w_h gap_h, w_l gap_l)) with
-    rates in bit/s, gaps in packets/slot, weights (alpha, 1 - alpha) by default.
+    Returns (rate_h, rate_l, gap_h, gap_l, min(alpha gap_h, (1 - alpha) gap_l))
+    with rates in bit/s and gaps in packets/slot.
     """
     alpha = scenario.alpha if alpha is None else alpha
     arrival = scenario.arrival_rate if arrival is None else arrival
-    weights = (alpha, 1.0 - alpha) if weights is None else weights
     w_d, w_r, noise_w, serv = _coeffs(scenario)
-    res = _evaluate(p, decoding_forms(w_d, w_r), noise_w, serv, scenario, alpha, arrival, weights)
+    res = _evaluate(p, decoding_forms(w_d, w_r), noise_w, serv, scenario, alpha, arrival,
+                    (alpha, 1.0 - alpha))
     return res.rate_h, res.rate_l, res.gap_h, res.gap_l, res.objective
 
 

@@ -27,14 +27,15 @@ from .experiments import (
     run_sweep,
 )
 from .oma import oma_optimize
-from .queuesim import MIN_DELAY_HORIZON, QueueTrace, mean_delay, run_simulation
+from .queuesim import QueueTrace, mean_delay, run_simulation
 
 # The oracle's grid holds grid_n**3 entries per axis array: 201 takes
 # seconds and about 0.5 GB.
 _MAX_GRID_N = 201
 # Where simulate writes when neither --out nor the config names a file.
 TRACE_OUT = "trace.csv"
-_TRACE_HEADER = "slot,a_h,a_l,beta_d,beta_r,s_h,s_l,q_h,q_l\n"
+# The trace CSV's columns after the slot index, as QueueTrace field names.
+_TRACE_COLUMNS = ("a_h", "a_l", "beta_d", "beta_r", "s_h", "s_l", "q_h", "q_l")
 # Trace rows formatted per write.  Whole columns as Python lists add about
 # 18 MB to the peak memory of a 100,000-slot trace; blocks this size peak
 # at about 0.4 MB of traced memory (1.4 MB at 4096 rows) and run about as
@@ -123,8 +124,6 @@ def _print_oracle(config, grid_n: int) -> None:
 
 
 def _run_simulate(config) -> None:
-    if config.horizon < MIN_DELAY_HORIZON:
-        raise ConfigValidationError(f"horizon must be >= {MIN_DELAY_HORIZON} to simulate delays")
     scenario = config.scenario
     scheme = "mcsc" if config.scheme == "both" else config.scheme
     rate_h, rate_l, _ = _operating_rates(scenario, scheme, oma_lc_ris=config.oma_lc_ris)
@@ -143,10 +142,9 @@ def _run_simulate(config) -> None:
 
 def _write_trace(path: str, trace: QueueTrace) -> None:
     """Write the trace as CSV, one row per slot, floats at full precision."""
-    columns = (trace.a_h, trace.a_l, trace.beta_d, trace.beta_r,
-               trace.s_h, trace.s_l, trace.q_h, trace.q_l)
+    columns = [getattr(trace, name) for name in _TRACE_COLUMNS]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_TRACE_HEADER)
+        fh.write(",".join(("slot", *_TRACE_COLUMNS)) + "\n")
         for lo in range(0, len(trace), _TRACE_ROWS_PER_WRITE):
             hi = min(lo + _TRACE_ROWS_PER_WRITE, len(trace))
             cells = [map(str, range(lo, hi)), *(_cells(col[lo:hi]) for col in columns)]

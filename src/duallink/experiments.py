@@ -25,16 +25,8 @@ from .link import ScenarioParams
 from .oma import oma_max_feasible_arrival, oma_optimize
 from .queuesim import MIN_DELAY_HORIZON, mean_delay, run_simulation
 
-CSV_HEADER = [
-    "sweep_value", "scheme", "se_h", "se_l", "se_sum", "a_star",
-    "tau_h_slots", "tau_l_slots", "stable", "iterations", "status",
-]
-
-# The text cells read_rows accepts, by column; status is ok or error:<Name>.
-_CELL_CHOICES = {1: ("mcsc", "oma"), 8: ("", "true", "false")}
-_STATUS = re.compile(r"ok|error:[A-Za-z_]\w*")
-
-_AXES = ("alpha", "q_d", "n_ris", "arrival")
+# Each sweep axis and the ScenarioParams field its grid values set.
+_AXIS_FIELDS = {"alpha": "alpha", "q_d": "q_d", "n_ris": "n_r", "arrival": "arrival_rate"}
 _SCHEMES = ("mcsc", "oma", "both")
 _METRICS = ("se", "delay", "both")
 # Where run_sweep writes when the config names no output file.
@@ -66,8 +58,9 @@ class ExperimentConfig:
     oma_lc_ris: bool = False
 
     def __post_init__(self):
-        if self.axis not in _AXES:
-            raise ConfigValidationError(f"axis must be one of {_AXES}, got {self.axis!r}")
+        if self.axis not in _AXIS_FIELDS:
+            raise ConfigValidationError(
+                f"axis must be one of {tuple(_AXIS_FIELDS)}, got {self.axis!r}")
         if self.scheme not in _SCHEMES:
             raise ConfigValidationError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         if self.metrics not in _METRICS:
@@ -78,11 +71,8 @@ class ExperimentConfig:
             raise ConfigValidationError("sweep grid must be strictly increasing")
         if self.axis == "n_ris" and not all(float(v).is_integer() for v in self.grid):
             raise ConfigValidationError("n_ris grid values must be integers")
-        if self.metrics in ("delay", "both") and self.horizon < MIN_DELAY_HORIZON:
-            raise ConfigValidationError(
-                f"horizon must be >= {MIN_DELAY_HORIZON} for delay experiments")
-        if self.horizon < 1:
-            raise ConfigValidationError("horizon must be >= 1")
+        if self.horizon < MIN_DELAY_HORIZON:
+            raise ConfigValidationError(f"horizon must be >= {MIN_DELAY_HORIZON}")
         if self.workers < 1:
             raise ConfigValidationError("workers must be >= 1")
         if self.seed < 0:
@@ -106,6 +96,9 @@ class SweepRow:
     stable: bool | None = None
     iterations: int | None = None
     status: str = "ok"
+
+
+CSV_HEADER = [f.name for f in fields(SweepRow)]
 
 
 def _db_to_linear(db: float) -> float:
@@ -163,9 +156,10 @@ def load_config(path: str) -> ExperimentConfig:
     Scenario keys mirror ScenarioParams field names; f and bandwidth are
     given in GHz, p_max in dBm, noise_psd in dBm/Hz, g_b and g_u in dB, all
     other values in their SI units.  Experiment keys: axis, grid (comma
-    separated), scheme, metrics, horizon, seed, out, workers, se_weighted,
-    oma_lc_ris.  Lines starting with '#' are ignored.
-    An empty file yields the default scenario and sweep.
+    separated), scheme, metrics, horizon (at least MIN_DELAY_HORIZON slots,
+    whatever the metrics), seed, out, workers, se_weighted, oma_lc_ris.
+    Lines starting with '#' are ignored.  An empty file yields the default
+    scenario and sweep.
 
     Raises FileNotFoundError, ConfigParseError, or ConfigValidationError.
     """
@@ -215,18 +209,6 @@ def load_config(path: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigValidationError(str(exc)) from exc
     return ExperimentConfig(scenario=scenario, **experiment_kwargs)
-
-
-def _apply_axis(scenario: ScenarioParams, axis: str, value: float) -> ScenarioParams:
-    if axis == "alpha":
-        return replace(scenario, alpha=value)
-    if axis == "q_d":
-        return replace(scenario, q_d=value)
-    if axis == "n_ris":
-        return replace(scenario, n_r=int(value))
-    if axis == "arrival":
-        return replace(scenario, arrival_rate=value)
-    raise ConfigValidationError(f"unknown axis {axis!r}")
 
 
 def spectral_efficiency(
@@ -292,51 +274,38 @@ def _operating_rates(
 def _sweep_point(args: tuple[ExperimentConfig, int, float]) -> list[SweepRow]:
     config, index, value = args
     schemes = ["mcsc", "oma"] if config.scheme == "both" else [config.scheme]
+    field = _AXIS_FIELDS[config.axis]
     try:
-        scenario = _apply_axis(config.scenario, config.axis, value)
-    except (ValueError, ConfigValidationError) as exc:
-        return [
-            SweepRow(sweep_value=value, scheme=s, status=f"error:{type(exc).__name__}")
-            for s in schemes
-        ]
+        scenario = replace(config.scenario, **{field: int(value) if field == "n_r" else value})
+    except ValueError as exc:
+        return [SweepRow(value, s, status=f"error:{type(exc).__name__}") for s in schemes]
 
     rows = []
     for scheme in schemes:
-        se_h = se_l = se_sum = a_star = tau_h = tau_l = None
-        stable = None
-        iterations = None
+        cells = {}
         try:
             if config.metrics in ("se", "both"):
                 se_h, se_l, a_star, iterations = _capacity_point(
                     scenario, scenario.alpha, scheme,
                     weighted=config.se_weighted, oma_lc_ris=config.oma_lc_ris,
                 )
-                se_sum = se_h + se_l
+                cells.update(se_h=se_h, se_l=se_l, se_sum=se_h + se_l, a_star=a_star,
+                             iterations=iterations)
             if config.metrics in ("delay", "both"):
                 rate_h, rate_l, sim_iters = _operating_rates(
                     scenario, scheme, oma_lc_ris=config.oma_lc_ris)
-                if iterations is None:
-                    iterations = sim_iters
+                cells.setdefault("iterations", sim_iters)
                 trace = run_simulation(
                     scenario, (rate_h, rate_l), config.horizon, config.seed + index
                 )
                 stats = mean_delay(
                     trace, scenario.alpha, scenario.arrival_rate, scenario.slot_duration
                 )
-                tau_h = stats.tau_h_slots
-                tau_l = stats.tau_l_slots
-                stable = stats.stable
-            rows.append(SweepRow(
-                sweep_value=value, scheme=scheme,
-                se_h=se_h, se_l=se_l, se_sum=se_sum, a_star=a_star,
-                tau_h_slots=tau_h, tau_l_slots=tau_l,
-                stable=stable, iterations=iterations, status="ok",
-            ))
+                cells.update(tau_h_slots=stats.tau_h_slots, tau_l_slots=stats.tau_l_slots,
+                             stable=stats.stable)
+            rows.append(SweepRow(value, scheme, **cells))
         except Exception as exc:  # keep the sweep alive on a bad point
-            rows.append(SweepRow(
-                sweep_value=value, scheme=scheme,
-                status=f"error:{type(exc).__name__}",
-            ))
+            rows.append(SweepRow(value, scheme, status=f"error:{type(exc).__name__}"))
     return rows
 
 
@@ -380,31 +349,41 @@ def write_rows(path: str, rows: list[SweepRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([
-                _format_cell(row.sweep_value),
-                row.scheme,
-                _format_cell(row.se_h),
-                _format_cell(row.se_l),
-                _format_cell(row.se_sum),
-                _format_cell(row.a_star),
-                _format_cell(row.tau_h_slots),
-                _format_cell(row.tau_l_slots),
-                _format_cell(row.stable),
-                _format_cell(row.iterations),
-                row.status,
-            ])
+        writer.writerows([_format_cell(getattr(row, name)) for name in CSV_HEADER]
+                         for row in rows)
+
+
+def _optional(parse):
+    return lambda cell: None if cell == "" else parse(cell)
+
+
+def _text(pattern: str, value=str):
+    """A cell parser: value(cell) for a cell that matches the regex pattern."""
+
+    def parse(cell: str):
+        if not re.fullmatch(pattern, cell):
+            raise ValueError(f"{cell!r} does not match {pattern!r}")
+        return value(cell)
+
+    return parse
+
+
+# How read_rows parses each column: an optional float unless named here.
+# A status is ok or error:<exception name>.
+_CELL_PARSERS = {name: _optional(float) for name in CSV_HEADER} | {
+    "sweep_value": float,
+    "scheme": _text("mcsc|oma"),
+    "stable": _text("|true|false", _optional(lambda cell: cell == "true")),
+    "iterations": _optional(int),
+    "status": _text(r"ok|error:[A-Za-z_]\w*"),
+}
 
 
 def read_rows(path: str) -> list[SweepRow]:
     """
     Parse a sweep CSV back into rows; inverse of write_rows.  Raises
-    ConfigParseError, naming the line, on malformed input.
+    ConfigParseError, naming the line and the column, on malformed input.
     """
-
-    def opt_float(cell: str) -> float | None:
-        return None if cell == "" else float(cell)
-
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -418,29 +397,13 @@ def read_rows(path: str) -> list[SweepRow]:
             if len(rec) != len(CSV_HEADER):
                 raise ConfigParseError(
                     f"{where}: expected {len(CSV_HEADER)} cells, got {len(rec)}")
-            for col, allowed in _CELL_CHOICES.items():
-                if rec[col] not in allowed:
-                    raise ConfigParseError(
-                        f"{where}: {CSV_HEADER[col]} must be one of {allowed}, got {rec[col]!r}")
-            if not _STATUS.fullmatch(rec[10]):
-                raise ConfigParseError(
-                    f"{where}: status must be ok or error:<Name>, got {rec[10]!r}")
-            try:
-                rows.append(SweepRow(
-                    sweep_value=float(rec[0]),
-                    scheme=rec[1],
-                    se_h=opt_float(rec[2]),
-                    se_l=opt_float(rec[3]),
-                    se_sum=opt_float(rec[4]),
-                    a_star=opt_float(rec[5]),
-                    tau_h_slots=opt_float(rec[6]),
-                    tau_l_slots=opt_float(rec[7]),
-                    stable=None if rec[8] == "" else rec[8] == "true",
-                    iterations=None if rec[9] == "" else int(rec[9]),
-                    status=rec[10],
-                ))
-            except ValueError as exc:
-                raise ConfigParseError(f"{where}: {exc}") from exc
+            cells = {}
+            for name, cell in zip(CSV_HEADER, rec):
+                try:
+                    cells[name] = _CELL_PARSERS[name](cell)
+                except ValueError as exc:
+                    raise ConfigParseError(f"{where}, column {name}: {exc}") from exc
+            rows.append(SweepRow(**cells))
     return rows
 
 

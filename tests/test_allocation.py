@@ -148,12 +148,13 @@ def test_sca_surrogates_are_the_checked_surrogates(scenario, gains):
             assert abs(value - ref) <= 1e-9 * max(1.0, abs(gamma))
 
 
-@pytest.mark.parametrize("alpha", [0.1, 0.9])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.7, 0.9])
 def test_stacked_rows_match_finite_differences(scenario, gains, alpha):
     # evaluate() returns the values() the line searches read, with their
     # Jacobian and weighted row Hessian.  Central differences with steps
     # of 1e-4 x_k are compared in the variables' own scale (diag(x) J and
-    # diag(x) H diag(x)), each row's Hessian on its own.
+    # diag(x) H diag(x)).  The affine rows (the terms and the budget) are
+    # checked exactly; each curved row's Hessian is checked on its own.
     rng = np.random.default_rng(11)
     for _ in range(10):
         p = PowerAllocation(*(rng.uniform(0.05, 1.0, 4) * scenario.p_max / 4))
@@ -170,14 +171,17 @@ def test_stacked_rows_match_finite_differences(scenario, gains, alpha):
         assert np.abs((jac_fd - jac) * x).max() <= 1e-6 * np.abs(jac * x).max()
 
         units = np.eye(len(vals))
-        for i, unit in enumerate(units):
+        for i in (0, 1, 7):
+            assert np.array_equal(jac[i], sub.lin[i])
+            assert not weighted_hessian(units[i]).any()
+        for i in range(2, 7):
             def row(y, i=i):
                 return sub.values(y)[i]
 
             hess_fd = np.array([[
                 (row(x + di + dj) - row(x + di - dj) - row(x - di + dj) + row(x - di - dj))
                 / (4.0 * hi * hj) for dj, hj in zip(steps, h)] for di, hi in zip(steps, h)])
-            scaled = weighted_hessian(unit) * np.outer(x, x)
+            scaled = weighted_hessian(units[i]) * np.outer(x, x)
             err = np.abs(hess_fd * np.outer(x, x) - scaled).max()
             # Second differences carry a rounding floor near 2e-8 |row|.
             assert err <= 1e-6 * np.abs(scaled).max() + 1e-7 * abs(vals[i])
@@ -515,15 +519,15 @@ def _reduced_form_a_star(sc, alpha):
     def terms(p_hr):
         k = w_r * p_hr / noise_w
         p_ld = (sc.p_max - p_hr) / (1.0 + k)
-        _, _, gap_h, gap_l, obj = objective_for_powers(
-            PowerAllocation(k * p_ld, p_hr, p_ld, 0.0), sc, alpha, 0.0, weights)
-        return weights[0] * gap_h, weights[1] * gap_l, obj
+        _, _, gap_h, gap_l, _ = objective_for_powers(
+            PowerAllocation(k * p_ld, p_hr, p_ld, 0.0), sc, alpha, 0.0)
+        return weights[0] * gap_h, weights[1] * gap_l
 
     lo, hi = 0.0, sc.p_max
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        hc, lc, _ = terms(mid)
+        hc, lc = terms(mid)
         lo, hi = (mid, hi) if hc < lc else (lo, mid)
-    return max(terms(lo)[2], terms(hi)[2])
+    return max(min(terms(lo)), min(terms(hi)))
 
 
 def _interior_cases():

@@ -108,11 +108,12 @@ def test_read_rows_short_row(tmp_path):
 def test_read_rows_non_numeric_cell(tmp_path):
     # A cell that does not parse, and text cells outside their vocabulary:
     # stable is true, false or empty, scheme mcsc or oma, status ok or
-    # error:<Name>.
-    for old, new in (("8.5", "lots"), (",,,5", ",,ture,5"), ("mcsc", "tdma"),
-                     ("ok", "okay"), ("ok", "error:")):
+    # error:<Name>.  The error names the line and the column.
+    for old, new, column in (("8.5", "lots", "se_sum"), (",,,5", ",,ture,5", "stable"),
+                             ("mcsc", "tdma", "scheme"), ("ok", "okay", "status"),
+                             ("ok", "error:", "status")):
         text = _CSV_HEAD + _CSV_ROW + _CSV_ROW.replace(old, new)
-        with pytest.raises(ConfigParseError, match="line 3"):
+        with pytest.raises(ConfigParseError, match=f"line 3, column {column}:"):
             read_rows(write(tmp_path, "bad.csv", text))
     good = _CSV_ROW + _CSV_ROW.replace(",,,5,ok", ",,false,5,error:RuntimeError")
     rows = read_rows(write(tmp_path, "good.csv", _CSV_HEAD + good))
@@ -149,9 +150,18 @@ def test_integral_floats_accepted_for_integer_keys(tmp_path):
     assert isinstance(cfg.scenario.n_b, int)
 
 
-def test_delay_horizon_floor(tmp_path):
-    with pytest.raises(ConfigValidationError):
+def test_delay_horizon_floor(tmp_path, capsys):
+    # The floor holds for every metrics value, so no command runs on a
+    # horizon too short to judge a delay.
+    with pytest.raises(ConfigValidationError, match="horizon must be >= 1000"):
         load_config(write(tmp_path, "bad.cfg", "metrics = delay\nhorizon = 10\n"))
+    se_cfg = write(tmp_path, "se.cfg", "metrics = se\nhorizon = 999\n")
+    with pytest.raises(ConfigValidationError, match="horizon must be >= 1000"):
+        load_config(se_cfg)
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep", "--config", se_cfg, "--out", out]) == 2
+    assert "error: horizon must be >= 1000" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_empty_out_rejected(tmp_path, monkeypatch, capsys):
@@ -385,9 +395,28 @@ def test_write_rows_formats_cells(tmp_path):
     out = str(tmp_path / "w.csv")
     rows = [SweepRow(0.5, "mcsc", se_h=1.25, stable=False, iterations=7)]
     write_rows(out, rows)
-    text = open(out).read().splitlines()
+    with open(out) as fh:
+        text = fh.read().splitlines()
     assert text[0].startswith("sweep_value,scheme,")
     assert text[1] == "0.5,mcsc,1.25,,,,,,false,7,ok"
+
+
+def test_read_rows_inverts_write_rows(tmp_path):
+    # Every cell kind survives the round trip: empty cells, both stable
+    # values, zero iterations, full-precision floats and an error status.
+    from duallink.experiments import SweepRow
+
+    rows = [
+        SweepRow(0.0, "mcsc", se_h=0.0, se_l=9.306028068406784, se_sum=1 / 3,
+                 a_star=930.6028068406785, iterations=0),
+        SweepRow(0.05, "oma", tau_h_slots=1.5e-300, tau_l_slots=12.25, stable=True,
+                 iterations=12),
+        SweepRow(0.1, "mcsc", tau_h_slots=7.0, tau_l_slots=-0.0, stable=False),
+        SweepRow(100.0, "oma", status="error:ValueError"),
+    ]
+    out = str(tmp_path / "round.csv")
+    write_rows(out, rows)
+    assert read_rows(out) == rows
 
 
 def test_cli_solve_and_sweep(tmp_path, capsys):
@@ -412,7 +441,8 @@ def test_cli_simulate_writes_trace(tmp_path, capsys):
     out = str(tmp_path / "trace.csv")
     assert main(["simulate", "--config", cfg_path, "--out", out,
                  "--scheme", "oma", "--seed", "4"]) == 0
-    lines = open(out).read().splitlines()
+    with open(out) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "slot,a_h,a_l,beta_d,beta_r,s_h,s_l,q_h,q_l"
     assert len(lines) == 2001
     assert "stable=" in capsys.readouterr().out
@@ -426,7 +456,8 @@ def test_cli_simulate_honours_explicit_sweep_csv(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--config", cfg_path, "--out", "sweep.csv",
                  "--scheme", "oma"]) == 0
     assert "wrote 1000 slots to sweep.csv" in capsys.readouterr().out
-    assert open("sweep.csv").readline() == "slot,a_h,a_l,beta_d,beta_r,s_h,s_l,q_h,q_l\n"
+    with open("sweep.csv") as fh:
+        assert fh.readline() == "slot,a_h,a_l,beta_d,beta_r,s_h,s_l,q_h,q_l\n"
     assert not os.path.exists("trace.csv")
     # Without --out or an out key, each command writes its own default.
     assert main(["simulate", "--config", cfg_path, "--scheme", "oma"]) == 0
