@@ -17,7 +17,7 @@ serves as an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,7 +119,7 @@ def g_h(
     powers for the given direct-route availability (reflected route up).
     """
     form = decoding_forms(*route_coefficients(gains, n_b, n_r))[beta_d]
-    return _surrogate(gamma_h, mu, *ratio_parts(form, astuple(p), gains.noise_w))
+    return _surrogate(gamma_h, mu, *ratio_parts(form, p.as_tuple(), gains.noise_w))
 
 
 def g_l(
@@ -132,7 +132,7 @@ def g_l(
 ) -> float:
     """LC surrogate constraint value; evaluated with both routes available."""
     form = decoding_forms(*route_coefficients(gains, n_b, n_r))[2]
-    return _surrogate(gamma_l, mu, *ratio_parts(form, astuple(p), gains.noise_w))
+    return _surrogate(gamma_l, mu, *ratio_parts(form, p.as_tuple(), gains.noise_w))
 
 
 def optimal_mu(p: PowerAllocation, gains: LinkGains, n_b: int, n_r: int) -> AuxiliaryMu:
@@ -141,7 +141,7 @@ def optimal_mu(p: PowerAllocation, gains: LinkGains, n_b: int, n_r: int) -> Auxi
 
 
 def _multipliers(p: PowerAllocation, forms, noise_w: float) -> AuxiliaryMu:
-    parts = (ratio_parts(f, astuple(p), noise_w) for f in forms)
+    parts = (ratio_parts(f, p.as_tuple(), noise_w) for f in forms)
     return AuxiliaryMu(*(math.sqrt(sig) / interf for sig, interf in parts))
 
 
@@ -188,7 +188,7 @@ def _evaluate(p, forms, noise_w, serv, scenario, alpha, arrival, weights) -> Sol
     and service factor, as a run that made no inner solve reports it.
     """
     se_h, se_l, gap_h, gap_l, obj, sinr_h, sinr_l = (float(v) for v in _objective_terms_np(
-        astuple(p), forms, noise_w, serv, scenario.q_d, scenario.q_r, alpha, arrival, *weights))
+        p.as_tuple(), forms, noise_w, serv, scenario.q_d, scenario.q_r, alpha, arrival, *weights))
     bandwidth = scenario.bandwidth
     return SolveResult(p, se_h * bandwidth, se_l * bandwidth, gap_h, gap_l, sinr_h, sinr_l, obj,
                        iterations=0, converged=True, objective_history=[obj])
@@ -222,26 +222,28 @@ class _Subproblem:
     def _parts(self, x):
         arg = np.maximum(self.a @ x, _SQRT_FLOOR)
         root = np.sqrt(arg)
+        gam1 = 1.0 + x[6:8]
         vals = self.lin @ x + self.const
-        vals[2:4] -= np.log2(1.0 + x[6:8])
+        vals[2:4] -= np.log2(gam1)
         vals[4:7] -= 2.0 * self.mu * root
-        return vals, arg, root
+        return vals, arg, root, gam1
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return self._parts(x)[0]
 
     def evaluate(self, x: np.ndarray):
-        vals, arg, root = self._parts(x)
-        gam1 = 1.0 + x[6:8]
+        vals, arg, root, gam1 = self._parts(x)
+        gam_h, gam_l = float(gam1[0]), float(gam1[1])
         jac = self.lin.copy()
-        jac[[2, 3], [6, 7]] -= 1.0 / (gam1 * _LN2)
+        jac[2, 6] -= 1.0 / (gam_h * _LN2)
+        jac[3, 7] -= 1.0 / (gam_l * _LN2)
         jac[4:7] -= (self.mu / root)[:, None] * self.a
-        curv_cap = 1.0 / (gam1**2 * _LN2)
-        curv_sur = self.mu / (2.0 * arg * root)
 
         def weighted_hessian(w: np.ndarray) -> np.ndarray:
+            curv_sur = self.mu / (2.0 * arg * root)
             hess = self.a.T @ ((w[4:7] * curv_sur)[:, None] * self.a)
-            hess[[6, 7], [6, 7]] += w[2:4] * curv_cap
+            hess[6, 6] += w[2] * (1.0 / (gam_h * gam_h * _LN2))
+            hess[7, 7] += w[3] * (1.0 / (gam_l * gam_l * _LN2))
             return hess
 
         return vals, jac, weighted_hessian

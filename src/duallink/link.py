@@ -20,7 +20,7 @@ belongs to config ingestion.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,8 +234,11 @@ class PowerAllocation:
     def total(self) -> float:
         return self.p_h_d + self.p_h_r + self.p_l_d + self.p_l_r
 
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return self.p_h_d, self.p_h_r, self.p_l_d, self.p_l_r
+
     def as_array(self) -> np.ndarray:
-        return np.array([self.p_h_d, self.p_h_r, self.p_l_d, self.p_l_r])
+        return np.array(self.as_tuple())
 
 
 def noise_power(n0: float, bandwidth: float) -> float:
@@ -347,7 +350,7 @@ def approx_sinrs(
     """
     w_d, w_r = route_coefficients(gains, n_b, n_r)
     forms = decoding_forms(b.beta_d * w_d, b.beta_r * w_r)
-    _, sinr_h, sinr_l = decoding_sinrs(forms, astuple(p), gains.noise_w)
+    _, sinr_h, sinr_l = decoding_sinrs(forms, p.as_tuple(), gains.noise_w)
     return sinr_h, sinr_l
 
 

@@ -37,7 +37,11 @@ STATUS_INFEASIBLE_START = "infeasible-start"
 
 
 class Rows(Protocol):
-    """A problem as stacked rows; see the module docstring."""
+    """
+    A problem as stacked rows; see the module docstring.  ``values(x)``
+    must equal ``evaluate(x)[0]`` bit for bit: the line search tests a
+    candidate on its values and evaluates only the candidates it may accept.
+    """
 
     n: int
     n_terms: int
@@ -83,7 +87,7 @@ class MaxMinProblem:
         return len(self.terms)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate(x)[0]
+        return np.array([fn(x)[0] for fn in (*self.terms, *self.constraints)], dtype=float)
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, WeightedHessian]:
         outs = [fn(x) for fn in (*self.terms, *self.constraints)]
@@ -124,18 +128,26 @@ class KernelResult:
     multipliers: dict = field(default_factory=dict)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, by np.linalg.norm's formula."""
+    return math.sqrt(v @ v)
+
+
 def _solve_newton_system(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve H d = -grad with diagonal equilibration and a ridge fallback."""
     d = np.sqrt(np.maximum(np.diag(hess), 1e-300))
-    scaled = hess / np.outer(d, d)
+    scaled = hess / (d[:, None] * d)
     rhs = -grad / d
-    ridge = 0.0
-    for _ in range(6):
+    try:
+        return np.linalg.solve(scaled, rhs) / d
+    except np.linalg.LinAlgError:
+        pass
+    eye = np.eye(len(grad))
+    for ridge in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
         try:
-            step = np.linalg.solve(scaled + ridge * np.eye(len(grad)), rhs)
-            return step / d
+            return np.linalg.solve(scaled + ridge * eye, rhs) / d
         except np.linalg.LinAlgError:
-            ridge = 1e-12 if ridge == 0.0 else ridge * 100.0
+            pass
     step, *_ = np.linalg.lstsq(scaled, rhs, rcond=None)
     return step / d
 
@@ -154,41 +166,56 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
     that cancel the objective gradient, DF' lam = -c, floored at 1 / -F.  Each
     step sets the barrier weight t from the surrogate gap eta = -F @ lam,
     takes the Newton step on the modified KKT system, stops the multipliers
-    short of zero, and backtracks until the point is strictly feasible and
-    either the residual norm or the barrier merit c @ z - sum(log(-F)) / t
-    decreases enough.  The Newton step always descends the merit, whose
-    test does not depend on how the rows are scaled; on badly scaled rows
-    the residual norm alone admits only tiny steps.  Returns (z, lam, Newton
-    steps, whether eta and the dual residual cleared their tolerances, the
-    problem's evaluation at z), stopping early once ``stop(row values)``
-    holds.
+    short of zero, and backtracks until a candidate is accepted.  A
+    candidate must lie inside the lower bounds and have F < 0 from the row
+    values alone; then it is accepted if the barrier merit
+    c @ z - sum(log(-F)) / t decreases enough, or else if the residual norm
+    does, whose Jacobian is built only at this point, so an infeasible
+    candidate costs no Jacobian.  The Newton step always descends the merit,
+    whose test does not depend on how the rows are scaled; on badly scaled
+    rows the residual norm alone admits only tiny steps.  Returns (z, lam,
+    Newton steps, whether eta and the dual residual cleared their
+    tolerances, the problem's evaluation at z), stopping early once
+    ``stop(row values)`` holds.
     """
     sel, sign, coef = rows
     n = len(z) - 1
+    k = len(sign)
     lb = problem.bounds()
     bounded = np.flatnonzero(np.isfinite(lb))
     lb_b = lb[bounded]
-    d_bounds = np.zeros((bounded.size, n + 1))
-    d_bounds[np.arange(bounded.size), bounded] = -1.0
+    m = k + bounded.size
+    sign_col = sign[:, None]
+    # DF's fixed entries: the e column of the row block and the bound rows.
+    df_fixed = np.zeros((m, n + 1))
+    df_fixed[:k, n] = coef
+    df_fixed[np.arange(k, m), bounded] = -1.0
     c = np.zeros(n + 1)
     c[n] = direction
 
-    def at(point: np.ndarray):
-        """The problem's evaluation at point, then F and its Jacobian DF."""
-        evaluation = problem.evaluate(point[:n])
-        vals, jac, _ = evaluation
-        f = np.concatenate([sign * vals[sel] + coef * point[n], lb_b - point[bounded]])
-        df = np.vstack([np.column_stack([sign[:, None] * jac[sel], coef]), d_bounds])
-        return evaluation, f, df
+    def constraints(point: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """F at point from the problem's row values there."""
+        f = np.empty(m)
+        f[:k] = sign * vals[sel] + coef * point[n]
+        f[k:] = lb_b - point[bounded]
+        return f
 
-    def residual(f, df, lam, t):
+    def jacobian(jac: np.ndarray) -> np.ndarray:
+        """DF from the problem's row Jacobian."""
+        df = df_fixed.copy()
+        np.multiply(sign_col, jac[sel], out=df[:k, :n])
+        return df
+
+    def residual(r_dual, f, lam, t):
         """Norm of the modified KKT residual: dual, then centrality."""
-        return math.hypot(np.linalg.norm(c + df.T @ lam), np.linalg.norm(lam * f + 1.0 / t))
+        return math.hypot(_norm(r_dual), _norm(lam * f + 1.0 / t))
 
-    def merit(point, f, t):
-        return float(c @ point) - np.log(-f).sum() / t
+    def merit(point, f, t):  # c @ point is direction * e
+        return direction * float(point[n]) - np.log(-f).sum() / t
 
-    evaluation, f, df = at(z)
+    evaluation = problem.evaluate(z[:n])
+    f, df = constraints(z, evaluation[0]), jacobian(evaluation[1])
+    weights = np.zeros(len(evaluation[0]))  # the row Hessians' weights, zero off sel
     if lam is None:
         lam = np.maximum(df @ _solve_newton_system(df.T @ df, c), 1.0 / -f)
     steps = 0
@@ -199,37 +226,42 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
         # The dual residual is judged relative to the size of the terms it
         # sums, as the KKT test is; in absolute units a badly scaled problem
         # can keep it above _FEAS_TOL for hundreds of steps after eta clears.
-        dual_ok = np.linalg.norm(r_dual) <= _FEAS_TOL * (1.0 + lam @ np.linalg.norm(df, axis=1))
-        if (stop is not None and stop(vals)) or (eta <= _ETA_TOL and dual_ok):
+        if (stop is not None and stop(vals)) or (
+                eta <= _ETA_TOL
+                and _norm(r_dual) <= _FEAS_TOL * (1.0 + lam @ np.linalg.norm(df, axis=1))):
             return z, lam, steps, True, evaluation
         if steps == _MAX_NEWTON:
             return z, lam, steps, False, evaluation
         steps += 1
-        t = _MU * len(f) / eta
-        weights = np.zeros(len(vals))
-        weights[sel] = sign * lam[:len(sign)]
-        hess = df.T @ ((lam / -f)[:, None] * df)
+        t = _MU * m / eta
+        neg_f = -f
+        weights[sel] = sign * lam[:k]
+        hess = df.T @ ((lam / neg_f)[:, None] * df)
         hess[:n, :n] += weighted_hessian(weights)
-        grad = c + df.T @ (1.0 / (t * -f))  # the barrier merit's gradient
+        grad = c + df.T @ (1.0 / (t * neg_f))  # the barrier merit's gradient
         dz = _solve_newton_system(hess, grad)
-        dlam = (1.0 / t + lam * (df @ dz)) / -f - lam
+        dlam = (1.0 / t + lam * (df @ dz)) / neg_f - lam
         shrinking = dlam < 0.0
-        s = _STEP_FRAC * min(1.0, float(np.min(-lam[shrinking] / dlam[shrinking], initial=1.0)))
-        r0, merit0 = residual(f, df, lam, t), merit(z, f, t)
+        s = _STEP_FRAC * min(1.0, float((-lam[shrinking] / dlam[shrinking]).min(initial=1.0)))
+        r0, merit0 = residual(r_dual, f, lam, t), merit(z, f, t)
         slope = _ARMIJO * float(grad @ dz)
         while s > 1e-16:
             cand = z + s * dz
-            if np.all(cand[bounded] > lb_b):
-                ev = at(cand)
-                if np.all(ev[1] < 0.0) and (
-                        residual(ev[1], ev[2], lam + s * dlam, t) <= (1.0 - _ARMIJO * s) * r0
-                        or merit(cand, ev[1], t) <= merit0 + s * slope):
-                    break
+            if (cand[bounded] > lb_b).all():
+                f_c = constraints(cand, problem.values(cand[:n]))
+                if (f_c < 0.0).all():
+                    if merit(cand, f_c, t) <= merit0 + s * slope:
+                        break
+                    lam_c = lam + s * dlam
+                    df_c = jacobian(problem.evaluate(cand[:n])[1])
+                    if residual(c + df_c.T @ lam_c, f_c, lam_c, t) <= (1.0 - _ARMIJO * s) * r0:
+                        break
             s *= _BACKTRACK
         else:
             return z, lam, steps, False, evaluation
-        z, lam = cand, lam + s * dlam
-        evaluation, f, df = ev  # the accepted point's
+        z, lam, f = cand, lam + s * dlam, f_c
+        evaluation = problem.evaluate(z[:n])
+        df = jacobian(evaluation[1])
 
 
 def _max_violation(vals: np.ndarray, n_terms: int) -> float:

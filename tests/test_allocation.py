@@ -191,6 +191,21 @@ def test_stacked_rows_match_finite_differences(scenario, gains, alpha):
             rtol=1e-12, atol=0.0)
 
 
+def test_values_are_evaluate_rows_bit_for_bit(scenario, gains):
+    # The kernel's line search tests a candidate on values() alone and
+    # evaluates only candidates it may accept, so the two must agree exactly.
+    p = PowerAllocation(*([scenario.p_max / 4] * 4))
+    mu = optimal_mu(p, gains, scenario.n_b, scenario.n_r)
+    sub = _subproblem(scenario, gains, p, mu, alpha=0.1)
+    rng = np.random.default_rng(3)
+    points = [sub.x0] + [
+        np.concatenate([rng.uniform(1e-6, 0.24, 4), rng.uniform(1e-3, 5.0, 2),
+                        [rng.uniform(1e-3, 20.0), rng.uniform(1e-3, 2e4)]])
+        for _ in range(50)]
+    for x in points:
+        assert sub.values(x).tobytes() == sub.evaluate(x)[0].tobytes()
+
+
 def test_array_rows_match_per_row_callables(scenario, gains):
     # The allocator's stacked rows and a MaxMinProblem of per-row callables
     # over the same rows are one problem: the kernel reaches the same point

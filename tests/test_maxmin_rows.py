@@ -47,3 +47,10 @@ def test_phase_one_on_curved_constraint():
     np.testing.assert_allclose(res.x, [1.0 / math.sqrt(2.0)] * 2, atol=1e-6)
     assert res.value == pytest.approx(math.sqrt(2.0), abs=1e-6)
     assert res.max_violation <= 1e-9
+
+
+def test_values_are_evaluate_rows_bit_for_bit():
+    prob = ball_problem([0.5, 0.25])
+    rng = np.random.default_rng(4)
+    for x in [prob.x0, *rng.uniform(-2.0, 2.0, (20, 2))]:
+        assert prob.values(x).tobytes() == prob.evaluate(x)[0].tobytes()

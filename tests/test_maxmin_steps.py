@@ -1,0 +1,74 @@
+"""Kernel step tests: the Newton-system fallbacks and the pinned Newton path."""
+
+import numpy as np
+import pytest
+
+from duallink import allocation, default_config
+from duallink import maxmin
+from duallink.maxmin import _solve_newton_system
+
+# Newton steps of each inner solve of the default alpha grid's capacity
+# runs.  Any change to the kernel's arithmetic or line search moves them;
+# a change meant to keep the same iterates must leave them as they are.
+DEFAULT_GRID_NEWTON_STEPS = {
+    0.0: [],
+    0.05: [17, 13, 12, 10, 10],
+    0.10: [19, 18, 12, 10, 10],
+    0.15: [26, 26, 11, 10, 10],
+    0.20: [31, 26, 12, 10, 10],
+    0.25: [35, 29, 13, 12, 9, 9],
+}
+
+
+def test_singular_hessian_takes_the_ridge_path():
+    # Equilibrated, the rank-one Hessian is [[1, 1], [1, 1]], which LU
+    # reports singular; the first ridge, 1e-12 on the scaled diagonal,
+    # solves (H + 1e-12 diag(H)) step = -grad.
+    hess = np.array([[4.0, 2.0], [2.0, 1.0]])
+    grad = np.array([2.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(hess / np.outer([2.0, 1.0], [2.0, 1.0]), grad)
+    step = _solve_newton_system(hess, grad)
+    assert np.all(np.isfinite(step))
+    ridged = hess + 1e-12 * np.diag(np.diag(hess))
+    np.testing.assert_allclose(ridged @ step, -grad, rtol=1e-9)
+
+
+def test_failing_solve_falls_back_to_lstsq(monkeypatch):
+    calls = []
+
+    def fail(a, b):
+        calls.append(a.copy())
+        raise np.linalg.LinAlgError("forced")
+
+    hess = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+    grad = np.array([1.0, -2.0, 0.5])
+    expected = np.linalg.solve(hess, -grad)
+    monkeypatch.setattr(maxmin.np.linalg, "solve", fail)
+    step = _solve_newton_system(hess, grad)
+    # The plain solve, then the five ridges, then least squares.
+    assert len(calls) == 6
+    scaled = calls[0]
+    ridges = [float(np.mean(np.diag(a - scaled))) for a in calls[1:]]
+    np.testing.assert_allclose(ridges, [1e-12, 1e-10, 1e-8, 1e-6, 1e-4], rtol=1e-3)
+    np.testing.assert_allclose(step, expected, rtol=1e-12)
+
+
+def test_default_grid_newton_steps_are_pinned(monkeypatch):
+    steps = []
+    solve = allocation.solve_maxmin
+
+    def counted(problem):
+        res = solve(problem)
+        steps.append(res.newton_iters)
+        return res
+
+    monkeypatch.setattr(allocation, "solve_maxmin", counted)
+    config = default_config()
+    per_alpha = {}
+    for alpha in config.grid:
+        start = len(steps)
+        allocation.capacity_allocation(config.scenario, alpha)
+        per_alpha[alpha] = steps[start:]
+    assert per_alpha == DEFAULT_GRID_NEWTON_STEPS
+    assert (len(steps), sum(steps)) == (26, 410)
