@@ -17,7 +17,7 @@ serves as an independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .link import (
     ratio_parts,
     route_coefficients,
 )
-from .maxmin import STATUS_INFEASIBLE_START, KernelResult, solve_maxmin
+from .maxmin import STATUS_INFEASIBLE_START, solve_maxmin
 
 # Guard for square-root arguments; p = 0 is a legitimate boundary point.
 _SQRT_FLOOR = 1e-30
@@ -69,6 +69,13 @@ class SolveResult:
     iterations: int
     converged: bool
     objective_history: list[float] = field(default_factory=list)
+
+
+def _traffic(scenario: ScenarioParams, alpha, arrival) -> tuple[float, float]:
+    """(alpha, arrival), the scenario's own where None, checked by ScenarioParams."""
+    checked = replace(scenario, alpha=scenario.alpha if alpha is None else alpha,
+                      arrival_rate=scenario.arrival_rate if arrival is None else arrival)
+    return checked.alpha, checked.arrival_rate
 
 
 def _coeffs(scenario: ScenarioParams):
@@ -174,8 +181,7 @@ def objective_for_powers(
     Returns (rate_h, rate_l, gap_h, gap_l, min(alpha gap_h, (1 - alpha) gap_l))
     with rates in bit/s and gaps in packets/slot.
     """
-    alpha = scenario.alpha if alpha is None else alpha
-    arrival = scenario.arrival_rate if arrival is None else arrival
+    alpha, arrival = _traffic(scenario, alpha, arrival)
     w_d, w_r, noise_w, serv = _coeffs(scenario)
     res = _evaluate(p, decoding_forms(w_d, w_r), noise_w, serv, scenario, alpha, arrival,
                     (alpha, 1.0 - alpha))
@@ -202,9 +208,8 @@ class _Subproblem:
     lin @ x + const, less 2 mu sqrt(a @ x) on the three surrogate rows and
     log2(1 + gamma) on the two rate caps.  Row order: the terms, the rate
     caps (HC, LC), the surrogates (HC direct down, HC direct up, LC), the
-    power budget; rows 0-1, 2-3, 4-6 and 7.  ``warm`` is the previous SCA
-    iteration's inner solve, the kernel's start; its rows have the same
-    layout.
+    power budget; rows 0-1, 2-3, 4-6 and 7.  ``evaluate`` builds the
+    Jacobian and the curvatures only when the kernel asks for them.
     """
 
     lin: np.ndarray
@@ -214,30 +219,25 @@ class _Subproblem:
     x0: np.ndarray
     n: int = 8
     n_terms: int = 2
-    warm: KernelResult | None = None
 
     def bounds(self) -> np.ndarray:
         return np.zeros(self.n)
 
-    def _parts(self, x):
+    def evaluate(self, x: np.ndarray):
         arg = np.maximum(self.a @ x, _SQRT_FLOOR)
         root = np.sqrt(arg)
         gam1 = 1.0 + x[6:8]
         vals = self.lin @ x + self.const
         vals[2:4] -= np.log2(gam1)
         vals[4:7] -= 2.0 * self.mu * root
-        return vals, arg, root, gam1
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return self._parts(x)[0]
-
-    def evaluate(self, x: np.ndarray):
-        vals, arg, root, gam1 = self._parts(x)
         gam_h, gam_l = float(gam1[0]), float(gam1[1])
-        jac = self.lin.copy()
-        jac[2, 6] -= 1.0 / (gam_h * _LN2)
-        jac[3, 7] -= 1.0 / (gam_l * _LN2)
-        jac[4:7] -= (self.mu / root)[:, None] * self.a
+
+        def jacobian() -> np.ndarray:
+            jac = self.lin.copy()
+            jac[2, 6] -= 1.0 / (gam_h * _LN2)
+            jac[3, 7] -= 1.0 / (gam_l * _LN2)
+            jac[4:7] -= (self.mu / root)[:, None] * self.a
+            return jac
 
         def weighted_hessian(w: np.ndarray) -> np.ndarray:
             curv_sur = self.mu / (2.0 * arg * root)
@@ -246,7 +246,7 @@ class _Subproblem:
             hess[7, 7] += w[3] * (1.0 / (gam_l * gam_l * _LN2))
             return hess
 
-        return vals, jac, weighted_hessian
+        return vals, jacobian, weighted_hessian
 
 
 def _build_subproblem(p: PowerAllocation, mu: AuxiliaryMu, scenario: ScenarioParams,
@@ -289,7 +289,7 @@ def _build_subproblem(p: PowerAllocation, mu: AuxiliaryMu, scenario: ScenarioPar
     x0 = np.zeros(8)
     x0[:4] = u0
     sub = _Subproblem(lin, const, a, mus, x0)
-    caps = -sub.values(x0)[4:7]
+    caps = -sub.evaluate(x0)[0][4:7]
     x0[6:8] = np.maximum(0.5 * np.array([min(caps[0], caps[1]), caps[2]]), 1e-14)
     x0[4:6] = 0.5 * np.log2(1.0 + x0[6:8])
     return sub
@@ -315,8 +315,7 @@ def sca_power_allocation(
     At alpha = 0 or 1 the optimum is closed form, as in
     capacity_allocation, and no inner solve runs (``iterations`` is 0).
     """
-    alpha = scenario.alpha if alpha is None else alpha
-    arrival = scenario.arrival_rate if arrival is None else arrival
+    alpha, arrival = _traffic(scenario, alpha, arrival)
     return _sca(scenario, alpha, arrival, (alpha, 1.0 - alpha),
                 (-alpha * alpha * arrival, -(1.0 - alpha) ** 2 * arrival),
                 stop_when_nonneg=stop_when_nonneg)
@@ -341,7 +340,7 @@ def capacity_allocation(scenario: ScenarioParams, alpha: float | None = None) ->
     The gap form is increasing in the remaining class's SINR as well, so
     sca_power_allocation shares these optima.
     """
-    alpha = scenario.alpha if alpha is None else alpha
+    alpha = _traffic(scenario, alpha, None)[0]
     weights = (1.0 / alpha if alpha > 0.0 else 0.0,
                1.0 / (1.0 - alpha) if alpha < 1.0 else 0.0)
     res = _sca(scenario, alpha, 0.0, weights, (0.0, 0.0))
@@ -382,8 +381,7 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False):
         p_mu = PowerAllocation(*np.maximum(best.power.as_array(), _MU_POWER_FLOOR * p_max))
         mu = _multipliers(p_mu, forms, noise_w)
         problem = _build_subproblem(best.power, mu, scenario, weights, offsets, forms, noise_w, serv)
-        problem.warm = result  # start from the previous solve's point and multipliers
-        result = solve_maxmin(problem)
+        result = solve_maxmin(problem, warm=result)
         if result.status == STATUS_INFEASIBLE_START:
             raise RuntimeError(
                 "inner solve lost feasibility: "
@@ -419,8 +417,7 @@ def brute_force_oracle(
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    alpha = scenario.alpha if alpha is None else alpha
-    arrival = scenario.arrival_rate if arrival is None else arrival
+    alpha, arrival = _traffic(scenario, alpha, arrival)
     w_d, w_r, noise_w, serv = _coeffs(scenario)
     forms = decoding_forms(w_d, w_r)
     step = scenario.p_max / (grid_n - 1)

@@ -199,8 +199,8 @@ class LinkGains:
     noise_w: float  # noise power over the full bandwidth [W]
 
     def __post_init__(self):
-        if self.eta_d <= 0.0 or self.eta_r <= 0.0 or self.noise_w <= 0.0:
-            raise ValueError("gains and noise power must be positive")
+        if not all(0.0 < v < math.inf for v in (self.eta_d, self.eta_r, self.noise_w)):
+            raise ValueError("gains and noise power must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,8 @@ class PowerAllocation:
     p_l_r: float
 
     def __post_init__(self):
-        if min(self.p_h_d, self.p_h_r, self.p_l_d, self.p_l_r) < 0.0:
-            raise ValueError("powers must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in self.as_tuple()):
+            raise ValueError("powers must be nonnegative and finite")
 
     @property
     def total(self) -> float:
@@ -243,8 +243,8 @@ class PowerAllocation:
 
 def noise_power(n0: float, bandwidth: float) -> float:
     """Total noise power [W] over the band: PSD times bandwidth."""
-    if n0 <= 0.0 or bandwidth <= 0.0:
-        raise ValueError("noise PSD and bandwidth must be positive")
+    if not (0.0 < n0 < math.inf and 0.0 < bandwidth < math.inf):
+        raise ValueError("noise PSD and bandwidth must be positive and finite")
     return n0 * bandwidth
 
 

@@ -8,12 +8,13 @@ reformulation  maximize t  s.t.  t - f_i(x) <= 0.  Problems here are tiny
 with backtracking are entirely adequate and keep the package dependency-free.
 
 The kernel reads a problem as stacked rows, the terms f_i first and then the
-constraints g_j.  A problem has ``n``, ``n_terms``, ``x0``, ``warm`` and
-``bounds()``; ``values(x)`` gives the row values and ``evaluate(x)`` the
-values, their Jacobian (one row per term or constraint) and the weighted row
-Hessian w -> sum_i w_i Hessian(row_i).  ``warm`` is None or the result of a
-nearby problem with the same rows, whose point and multipliers then start
-the solve.  ``MaxMinProblem`` stacks per-row callables.
+constraints g_j.  A problem has ``n``, ``n_terms``, ``x0`` and ``bounds()``;
+``evaluate(x)`` gives the row values, a zero-argument callable that builds
+their Jacobian (one row per term or constraint), and the weighted row Hessian
+w -> sum_i w_i Hessian(row_i).  The Jacobian is built only where a step
+needs it, so each point costs one evaluation.  ``solve_maxmin(problem,
+warm)`` starts from ``warm``, the result of a nearby problem with the same
+rows, when given.  ``MaxMinProblem`` stacks per-row callables.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import numpy as np
 TermFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
 # x -> (value, gradient, hessian or None for affine).
 ConstraintFn = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray | None]]
+# () -> the rows' Jacobian, an (n_rows, n) array, built on each call.
+Jacobian = Callable[[], np.ndarray]
 # Weights w over the rows -> sum_i w_i * Hessian(row_i), an n x n array.
 WeightedHessian = Callable[[np.ndarray], np.ndarray]
 
@@ -37,22 +40,15 @@ STATUS_INFEASIBLE_START = "infeasible-start"
 
 
 class Rows(Protocol):
-    """
-    A problem as stacked rows; see the module docstring.  ``values(x)``
-    must equal ``evaluate(x)[0]`` bit for bit: the line search tests a
-    candidate on its values and evaluates only the candidates it may accept.
-    """
+    """A problem as stacked rows: see the module docstring."""
 
     n: int
     n_terms: int
     x0: np.ndarray
-    warm: KernelResult | None
 
     def bounds(self) -> np.ndarray: ...
 
-    def values(self, x: np.ndarray) -> np.ndarray: ...
-
-    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, WeightedHessian]: ...
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, Jacobian, WeightedHessian]: ...
 
 
 @dataclass
@@ -75,7 +71,6 @@ class MaxMinProblem:
     constraints: Sequence[ConstraintFn]
     x0: np.ndarray
     lower_bounds: np.ndarray | None = None
-    warm = None  # always a cold start
 
     def bounds(self) -> np.ndarray:
         if self.lower_bounds is None:
@@ -86,13 +81,13 @@ class MaxMinProblem:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return np.array([fn(x)[0] for fn in (*self.terms, *self.constraints)], dtype=float)
-
-    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, WeightedHessian]:
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, Jacobian, WeightedHessian]:
         outs = [fn(x) for fn in (*self.terms, *self.constraints)]
         vals = np.array([out[0] for out in outs], dtype=float)
-        jac = np.array([out[1] for out in outs], dtype=float).reshape(len(outs), self.n)
+
+        def jacobian() -> np.ndarray:
+            return np.array([out[1] for out in outs], dtype=float).reshape(len(outs), self.n)
+
         curved = [(i, out[2]) for i, out in enumerate(outs[self.n_terms:], self.n_terms)
                   if out[2] is not None]
 
@@ -102,7 +97,7 @@ class MaxMinProblem:
                 hess += w[i] * h
             return hess
 
-        return vals, jac, weighted_hessian
+        return vals, jacobian, weighted_hessian
 
 
 # Fixed solver settings; deliberately unadventurous.
@@ -166,17 +161,17 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
     that cancel the objective gradient, DF' lam = -c, floored at 1 / -F.  Each
     step sets the barrier weight t from the surrogate gap eta = -F @ lam,
     takes the Newton step on the modified KKT system, stops the multipliers
-    short of zero, and backtracks until a candidate is accepted.  A
-    candidate must lie inside the lower bounds and have F < 0 from the row
-    values alone; then it is accepted if the barrier merit
-    c @ z - sum(log(-F)) / t decreases enough, or else if the residual norm
-    does, whose Jacobian is built only at this point, so an infeasible
-    candidate costs no Jacobian.  The Newton step always descends the merit,
-    whose test does not depend on how the rows are scaled; on badly scaled
-    rows the residual norm alone admits only tiny steps.  Returns (z, lam,
-    Newton steps, whether eta and the dual residual cleared their
-    tolerances, the problem's evaluation at z), stopping early once
-    ``stop(row values)`` holds.
+    short of zero, and backtracks until a candidate is accepted.  Each
+    candidate inside the lower bounds is evaluated once; it must have F < 0,
+    and then it is accepted if the barrier merit c @ z - sum(log(-F)) / t
+    decreases enough, or else if the residual norm does, the only test that
+    builds the candidate's Jacobian.  The accepted candidate's evaluation
+    serves the next step.  The Newton step always descends the merit, whose
+    test does not depend on how the rows are scaled; on badly scaled rows
+    the residual norm alone admits only tiny steps.  Returns (z, lam, Newton
+    steps, whether eta and the dual residual cleared their tolerances, the
+    problem's evaluation at z), stopping early once ``stop(row values)``
+    holds.
     """
     sel, sign, coef = rows
     n = len(z) - 1
@@ -200,10 +195,10 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
         f[k:] = lb_b - point[bounded]
         return f
 
-    def jacobian(jac: np.ndarray) -> np.ndarray:
-        """DF from the problem's row Jacobian."""
+    def jacobian(evaluation: tuple) -> np.ndarray:
+        """DF from the problem's row Jacobian in an evaluation."""
         df = df_fixed.copy()
-        np.multiply(sign_col, jac[sel], out=df[:k, :n])
+        np.multiply(sign_col, evaluation[1]()[sel], out=df[:k, :n])
         return df
 
     def residual(r_dual, f, lam, t):
@@ -214,7 +209,7 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
         return direction * float(point[n]) - np.log(-f).sum() / t
 
     evaluation = problem.evaluate(z[:n])
-    f, df = constraints(z, evaluation[0]), jacobian(evaluation[1])
+    f, df = constraints(z, evaluation[0]), jacobian(evaluation)
     weights = np.zeros(len(evaluation[0]))  # the row Hessians' weights, zero off sel
     if lam is None:
         lam = np.maximum(df @ _solve_newton_system(df.T @ df, c), 1.0 / -f)
@@ -248,20 +243,20 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
         while s > 1e-16:
             cand = z + s * dz
             if (cand[bounded] > lb_b).all():
-                f_c = constraints(cand, problem.values(cand[:n]))
+                evaluation_c = problem.evaluate(cand[:n])
+                f_c = constraints(cand, evaluation_c[0])
                 if (f_c < 0.0).all():
                     if merit(cand, f_c, t) <= merit0 + s * slope:
                         break
                     lam_c = lam + s * dlam
-                    df_c = jacobian(problem.evaluate(cand[:n])[1])
+                    df_c = jacobian(evaluation_c)
                     if residual(c + df_c.T @ lam_c, f_c, lam_c, t) <= (1.0 - _ARMIJO * s) * r0:
                         break
             s *= _BACKTRACK
         else:
             return z, lam, steps, False, evaluation
-        z, lam, f = cand, lam + s * dlam, f_c
-        evaluation = problem.evaluate(z[:n])
-        df = jacobian(evaluation[1])
+        z, lam, f, evaluation = cand, lam + s * dlam, f_c, evaluation_c
+        df = jacobian(evaluation)
 
 
 def _max_violation(vals: np.ndarray, n_terms: int) -> float:
@@ -282,7 +277,7 @@ def _phase_one(x: np.ndarray, problem: Rows) -> tuple[np.ndarray, np.ndarray, bo
     bounded = np.isfinite(lb)
     x[bounded] = np.maximum(x[bounded], lb[bounded] + 1e-9)
 
-    cons = problem.values(x)[n_t:]
+    cons = problem.evaluate(x)[0][n_t:]
     rows = (slice(n_t, None), np.ones(cons.size), -np.ones(cons.size))
     s0 = max(float(max(cons, default=-1.0)), 0.0) + 1.0
     w, _, newton, _, (vals, _, _) = _primal_dual(  # minimise s
@@ -291,17 +286,18 @@ def _phase_one(x: np.ndarray, problem: Rows) -> tuple[np.ndarray, np.ndarray, bo
     return w[:n], vals, _max_violation(vals, n_t) < 0.0, newton
 
 
-def solve_maxmin(problem: Rows) -> KernelResult:
+def solve_maxmin(problem: Rows, warm: KernelResult | None = None) -> KernelResult:
     """
     Maximise the minimum of the objective terms subject to the constraints.
 
-    Runs the primal-dual loop on the epigraph form, from the problem's
-    ``warm`` result when it has one: its point and multipliers, the point
-    pulled toward x0 by the fraction-to-boundary margin.  Returns the last
-    iterate with KKT diagnostics; status is ``converged`` when the surrogate
-    gap, the KKT residual, and feasibility all clear their tolerances,
-    ``infeasible-start`` when phase I cannot find a strictly feasible point,
-    and ``max-iterations`` otherwise.
+    Runs the primal-dual loop on the epigraph form, from ``warm`` when
+    given, the result of a nearby problem with the same rows: its point and
+    multipliers, the point pulled toward x0 by the fraction-to-boundary
+    margin, unless that point is not strictly feasible here.  Returns the
+    last iterate with KKT diagnostics; status is ``converged`` when the
+    surrogate gap, the KKT residual, and feasibility all clear their
+    tolerances, ``infeasible-start`` when phase I cannot find a strictly
+    feasible point, and ``max-iterations`` otherwise.
     """
     n, n_t = problem.n, problem.n_terms
     lb = problem.bounds()
@@ -311,7 +307,7 @@ def solve_maxmin(problem: Rows) -> KernelResult:
 
     newton_total, loops = 0, 1
     bounded = np.isfinite(lb)
-    vals = problem.values(x) if np.all(x[bounded] > lb[bounded]) else None
+    vals = problem.evaluate(x)[0] if np.all(x[bounded] > lb[bounded]) else None
     if vals is None or not _max_violation(vals, n_t) < 0.0:
         x, vals, ok, newton_total = _phase_one(x, problem)
         loops += 1
@@ -327,17 +323,17 @@ def solve_maxmin(problem: Rows) -> KernelResult:
     coef = np.concatenate([np.ones(n_t), np.zeros(m_c)])
     t0 = float(min(vals[:n_t]))
     z, lam = np.append(x, t0 - max(1.0, 0.1 * abs(t0))), None
-    warm = problem.warm
     if warm is not None:
         pulled = z + _STEP_FRAC * (np.append(warm.x, warm.value) - z)
         if (np.all(pulled[:n][bounded] > lb[bounded])
-                and np.all(sign * problem.values(pulled[:n]) + coef * pulled[n] < 0.0)):
+                and np.all(sign * problem.evaluate(pulled[:n])[0] + coef * pulled[n] < 0.0)):
             mult = warm.multipliers
             z, lam = pulled, np.concatenate(
                 [mult["terms"], mult["constraints"], mult["bounds"][bounded]])
-    z, lam, newton, done, (vals, jac, _) = _primal_dual(
+    z, lam, newton, done, (vals, jacobian, _) = _primal_dual(
         problem, z, lam, (slice(None), sign, coef), -1.0)
     newton_total += newton
+    jac = jacobian()
 
     x_star = z[:n]
     viol = max(_max_violation(vals, n_t), 0.0)
@@ -366,8 +362,8 @@ def kkt_residual(problem: Rows, x: np.ndarray, multipliers: dict) -> float:
     products for the term caps, the constraints, and the active lower
     bounds.  Zero exactly at a KKT point.
     """
-    vals, jac, _ = problem.evaluate(x)
-    return _kkt_residual(vals, jac, problem.n_terms, problem.bounds(), x, multipliers)
+    vals, jacobian, _ = problem.evaluate(x)
+    return _kkt_residual(vals, jacobian(), problem.n_terms, problem.bounds(), x, multipliers)
 
 
 def _kkt_residual(vals: np.ndarray, jac: np.ndarray, n_t: int, lb: np.ndarray,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .allocation import _coeffs, weighted_min_gap
+from .allocation import _coeffs, _traffic, weighted_min_gap
 from .link import ScenarioParams
 
 
@@ -79,8 +79,7 @@ def oma_optimize(
     is either an endpoint or the point equalising the weighted gaps; all
     three candidates are evaluated in closed form.
     """
-    alpha = scenario.alpha if alpha is None else alpha
-    arrival = scenario.arrival_rate if arrival is None else arrival
+    alpha, arrival = _traffic(scenario, alpha, arrival)
     se_h, se_l, a_h, a_l = _phases(scenario, lc_ris_assist)
 
     def objective(tau: float) -> float:
@@ -130,7 +129,7 @@ def oma_max_feasible_arrival(
     Both gaps are affine in the split, so feasibility reduces to fitting the
     two phase durations into one slot; the boundary is closed form.
     """
-    alpha = scenario.alpha if alpha is None else alpha
+    alpha = _traffic(scenario, alpha, None)[0]
     _, _, a_h, a_l = _phases(scenario, lc_ris_assist)
     if alpha <= 0.0:
         return a_l

@@ -30,6 +30,7 @@ from duallink import allocation
 from duallink.allocation import _build_subproblem, _coeffs, _sca
 from duallink.link import decoding_forms
 from test_acceptance import _random_scenario
+from test_maxmin_rows import record_evaluations
 
 # Hand-frozen scalar chains for the default scenario.
 MU_H0_REFERENCE = 7.92332609356792e4     # p = (0, 5, 0, 5) mW, direct route down
@@ -138,7 +139,7 @@ def test_sca_surrogates_are_the_checked_surrogates(scenario, gains):
         x[6], x[7] = gamma_h, gamma_l
         sub = _subproblem(scenario, gains, p, mu)
         # Rows: terms, two rate caps, the three surrogates, the budget.
-        sur_h0, sur_h1, sur_l = sub.values(x)[sub.n_terms + 2:sub.n_terms + 5]
+        sur_h0, sur_h1, sur_l = sub.evaluate(x)[0][sub.n_terms + 2:sub.n_terms + 5]
         checks = (
             (sur_h0, g_h(p, gamma_h, mu.mu_h0, 0, gains, n_b, n_r), gamma_h),
             (sur_h1, g_h(p, gamma_h, mu.mu_h1, 1, gains, n_b, n_r), gamma_h),
@@ -150,11 +151,11 @@ def test_sca_surrogates_are_the_checked_surrogates(scenario, gains):
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.7, 0.9])
 def test_stacked_rows_match_finite_differences(scenario, gains, alpha):
-    # evaluate() returns the values() the line searches read, with their
-    # Jacobian and weighted row Hessian.  Central differences with steps
-    # of 1e-4 x_k are compared in the variables' own scale (diag(x) J and
-    # diag(x) H diag(x)).  The affine rows (the terms and the budget) are
-    # checked exactly; each curved row's Hessian is checked on its own.
+    # evaluate() returns the row values, their Jacobian and the weighted row
+    # Hessian.  Central differences with steps of 1e-4 x_k are compared in
+    # the variables' own scale (diag(x) J and diag(x) H diag(x)).  The
+    # affine rows (the terms and the budget) are checked exactly; each curved
+    # row's Hessian is checked on its own.
     rng = np.random.default_rng(11)
     for _ in range(10):
         p = PowerAllocation(*(rng.uniform(0.05, 1.0, 4) * scenario.p_max / 4))
@@ -162,12 +163,13 @@ def test_stacked_rows_match_finite_differences(scenario, gains, alpha):
         sub = _subproblem(scenario, gains, p, mu, alpha=alpha)
         x = np.concatenate([rng.uniform(0.05, 0.24, 4), rng.uniform(0.1, 5.0, 2),
                             [rng.uniform(0.1, 20.0), rng.uniform(1.0, 2e4)]])
-        vals, jac, weighted_hessian = sub.evaluate(x)
-        assert np.array_equal(vals, sub.values(x))
+        vals, jacobian, weighted_hessian = sub.evaluate(x)
+        jac = jacobian()
         h = 1e-4 * x
         steps = np.diag(h)
-        jac_fd = np.column_stack([(sub.values(x + d) - sub.values(x - d)) / (2.0 * hk)
-                                  for d, hk in zip(steps, h)])
+        jac_fd = np.column_stack([
+            (sub.evaluate(x + d)[0] - sub.evaluate(x - d)[0]) / (2.0 * hk)
+            for d, hk in zip(steps, h)])
         assert np.abs((jac_fd - jac) * x).max() <= 1e-6 * np.abs(jac * x).max()
 
         units = np.eye(len(vals))
@@ -176,7 +178,7 @@ def test_stacked_rows_match_finite_differences(scenario, gains, alpha):
             assert not weighted_hessian(units[i]).any()
         for i in range(2, 7):
             def row(y, i=i):
-                return sub.values(y)[i]
+                return sub.evaluate(y)[0][i]
 
             hess_fd = np.array([[
                 (row(x + di + dj) - row(x + di - dj) - row(x - di + dj) + row(x - di - dj))
@@ -191,19 +193,18 @@ def test_stacked_rows_match_finite_differences(scenario, gains, alpha):
             rtol=1e-12, atol=0.0)
 
 
-def test_values_are_evaluate_rows_bit_for_bit(scenario, gains):
-    # The kernel's line search tests a candidate on values() alone and
-    # evaluates only candidates it may accept, so the two must agree exactly.
-    p = PowerAllocation(*([scenario.p_max / 4] * 4))
-    mu = optimal_mu(p, gains, scenario.n_b, scenario.n_r)
-    sub = _subproblem(scenario, gains, p, mu, alpha=0.1)
-    rng = np.random.default_rng(3)
-    points = [sub.x0] + [
-        np.concatenate([rng.uniform(1e-6, 0.24, 4), rng.uniform(1e-3, 5.0, 2),
-                        [rng.uniform(1e-3, 20.0), rng.uniform(1e-3, 2e4)]])
-        for _ in range(50)]
-    for x in points:
-        assert sub.values(x).tobytes() == sub.evaluate(x)[0].tobytes()
+def test_default_grid_evaluates_each_point_once(monkeypatch):
+    # The line search evaluates each candidate once and hands the accepted
+    # one's evaluation to the next Newton step.  Each of the grid's 26 inner
+    # solves reads its start twice, once to test it and once in the loop;
+    # no other point is evaluated twice.
+    check = record_evaluations(monkeypatch, allocation._Subproblem)
+    config = default_config()
+    for alpha in config.grid:
+        capacity_allocation(config.scenario, alpha)
+    evaluations, repeats = check()
+    assert evaluations <= 764
+    assert repeats == 26
 
 
 def test_array_rows_match_per_row_callables(scenario, gains):
@@ -216,18 +217,18 @@ def test_array_rows_match_per_row_callables(scenario, gains):
 
     def row(i):
         def fn(x):
-            vals, jac, weighted_hessian = sub.evaluate(x)
+            vals, jacobian, weighted_hessian = sub.evaluate(x)
             unit = np.zeros(len(vals))
             unit[i] = 1.0
-            return vals[i], jac[i], weighted_hessian(unit)
+            return vals[i], jacobian()[i], weighted_hessian(unit)
         return fn
 
-    m = len(sub.values(sub.x0))
+    m = len(sub.evaluate(sub.x0)[0])
     terms = [lambda x, fn=row(i): fn(x)[:2] for i in range(sub.n_terms)]
     constraints = [row(i) for i in range(sub.n_terms, m)]
     for shift in (0.0, 0.3):
         x0 = sub.x0 + shift
-        assert (sub.values(x0)[-1] > 0.0) == (shift > 0.0)  # the power budget
+        assert (sub.evaluate(x0)[0][-1] > 0.0) == (shift > 0.0)  # the power budget
         arrays = replace(sub, x0=x0)
         callables = MaxMinProblem(n=8, terms=terms, constraints=constraints, x0=x0.copy())
         a, b = solve_maxmin(arrays), solve_maxmin(callables)
@@ -366,8 +367,8 @@ def test_sca_deterministic(scenario):
 def test_rejected_iterate_stops_unconverged(scenario, monkeypatch):
     # An inner solve whose point is worse than the start is rejected: the
     # run stops after it and must not report convergence.
-    def worse(problem):
-        res = solve_maxmin(problem)
+    def worse(problem, warm=None):
+        res = solve_maxmin(problem, warm)
         res.x[:4] = [1.0, 0.0, 0.0, 0.0]  # all power on the blockage-prone HC beam
         return res
 
@@ -504,7 +505,7 @@ def test_gap_allocation_endpoints_equal_frozen_gaps(scenario):
 
 
 def test_capacity_endpoints_make_no_inner_solve(monkeypatch):
-    def fail(problem):
+    def fail(problem, warm=None):
         raise AssertionError("inner solve at an endpoint")
 
     monkeypatch.setattr(allocation, "solve_maxmin", fail)

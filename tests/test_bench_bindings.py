@@ -7,7 +7,13 @@ from pathlib import Path
 
 import numpy as np
 
-from duallink import MaxMinProblem, ScenarioParams, sca_power_allocation, solve_maxmin
+from duallink import (
+    MaxMinProblem,
+    ScenarioParams,
+    capacity_allocation,
+    sca_power_allocation,
+    solve_maxmin,
+)
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -44,3 +50,17 @@ def test_bench_counts_read_result_fields():
     res = sca_power_allocation(ScenarioParams(), 0.1, 700.0)
     assert spans._counts("allocation.sca", (), res) == {
         "inner": res.iterations, "accepted": len(res.objective_history) - 1}
+
+
+def test_traced_solves_keep_their_warm_starts():
+    # The traced run wraps solve_maxmin; a wrapper that dropped the warm
+    # start would make every SCA iteration start cold and move the traced
+    # Newton counts.  The steps are tests/test_maxmin_steps.py's at 0.25.
+    spans = _load_spans()
+    plain = capacity_allocation(ScenarioParams(), 0.25)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        traced = capacity_allocation(ScenarioParams(), 0.25)
+    assert traced == plain
+    assert [s["newton"] for s in tracer.spans if s["name"] == "maxmin.solve"] == [
+        35, 29, 13, 12, 9, 9]

@@ -8,6 +8,7 @@ import pytest
 
 from duallink import (
     BlockageState,
+    LinkGains,
     PowerAllocation,
     ScenarioParams,
     approx_sinrs,
@@ -290,3 +291,28 @@ def test_power_allocation_total():
     assert p.total == pytest.approx(0.01)
     with pytest.raises(ValueError):
         PowerAllocation(-1e-9, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_power_allocation_rejects_nan_and_inf(slot, value):
+    powers = [0.0] * 4
+    powers[slot] = value
+    with pytest.raises(ValueError):
+        PowerAllocation(*powers)
+
+
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_link_gains_reject_nan_and_inf(slot, value):
+    gains = [1.0] * 3
+    gains[slot] = value
+    with pytest.raises(ValueError):
+        LinkGains(*gains)
+
+
+@pytest.mark.parametrize("n0, bw", [(math.nan, 1e9), (math.inf, 1e9),
+                                    (1e-21, math.nan), (1e-21, math.inf)])
+def test_noise_power_rejects_nan_and_inf(n0, bw):
+    with pytest.raises(ValueError):
+        noise_power(n0, bw)

@@ -1,11 +1,12 @@
 """Kernel tests for the stacked-row view of a MaxMinProblem."""
 
 import math
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
-from duallink import MaxMinProblem, solve_maxmin
+from duallink import MaxMinProblem, maxmin, solve_maxmin
 from duallink.maxmin import STATUS_CONVERGED
 
 
@@ -28,10 +29,9 @@ def ball_problem(x0):
 def test_rows_stack_terms_then_constraints():
     prob = ball_problem([0.5, 0.25])
     x = np.array([0.5, 0.25])
-    vals, jac, weighted_hessian = prob.evaluate(x)
+    vals, jacobian, weighted_hessian = prob.evaluate(x)
     np.testing.assert_array_equal(vals, [0.75, 1.5, -0.6875])
-    np.testing.assert_array_equal(prob.values(x), vals)
-    np.testing.assert_array_equal(jac, [[1.0, 1.0], [3.0, 0.0], [1.0, 0.5]])
+    np.testing.assert_array_equal(jacobian(), [[1.0, 1.0], [3.0, 0.0], [1.0, 0.5]])
     # Terms are affine beyond first order: only the ball's Hessian counts.
     np.testing.assert_array_equal(weighted_hessian(np.array([5.0, 7.0, 0.5])), np.eye(2))
 
@@ -49,8 +49,48 @@ def test_phase_one_on_curved_constraint():
     assert res.max_violation <= 1e-9
 
 
-def test_values_are_evaluate_rows_bit_for_bit():
-    prob = ball_problem([0.5, 0.25])
-    rng = np.random.default_rng(4)
-    for x in [prob.x0, *rng.uniform(-2.0, 2.0, (20, 2))]:
-        assert prob.values(x).tobytes() == prob.evaluate(x)[0].tobytes()
+def record_evaluations(monkeypatch, cls):
+    """
+    Record every point at which a problem of class cls is evaluated and every
+    point a primal-dual loop starts from; returns a function that checks that
+    only loop starts were evaluated more than once and returns
+    (evaluations, repeats).
+    """
+    problems, evaluated, starts = {}, defaultdict(list), defaultdict(set)
+    evaluate, primal_dual = cls.evaluate, maxmin._primal_dual
+
+    def recorded_evaluate(self, x):
+        problems[id(self)] = self  # keeps the id from being reused
+        evaluated[id(self)].append(x.tobytes())
+        return evaluate(self, x)
+
+    def recorded_primal_dual(problem, z, *args, **kwargs):
+        starts[id(problem)].add(z[:-1].tobytes())
+        return primal_dual(problem, z, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "evaluate", recorded_evaluate)
+    monkeypatch.setattr(maxmin, "_primal_dual", recorded_primal_dual)
+
+    def check():
+        repeats = 0
+        for key, points in evaluated.items():
+            counts = Counter(points)
+            assert {x for x, c in counts.items() if c > 1} <= starts[key]
+            repeats += len(points) - len(counts)
+        return sum(map(len, evaluated.values())), repeats
+
+    return check
+
+
+def test_phase_one_and_warm_start_evaluate_each_accepted_point_once(monkeypatch):
+    # From outside the ball, warm-started from the solve of the same rows:
+    # phase I, then the main loop from the pulled warm point.  A point the
+    # line search accepts is evaluated once; only loop starts repeat: x0 is
+    # read by the feasibility test, by phase I and by its loop, the pulled
+    # point by the warm start's test and by the main loop.
+    warm = solve_maxmin(ball_problem([0.1, 0.1]))
+    check = record_evaluations(monkeypatch, MaxMinProblem)
+    res = solve_maxmin(ball_problem([2.0, 1.5]), warm)
+    assert res.status == STATUS_CONVERGED and res.outer_iters == 2
+    evaluations, repeats = check()
+    assert repeats == 3 and evaluations > res.newton_iters

@@ -58,8 +58,8 @@ def test_default_grid_newton_steps_are_pinned(monkeypatch):
     steps = []
     solve = allocation.solve_maxmin
 
-    def counted(problem):
-        res = solve(problem)
+    def counted(problem, warm=None):
+        res = solve(problem, warm)
         steps.append(res.newton_iters)
         return res
 

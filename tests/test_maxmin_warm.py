@@ -13,7 +13,7 @@ from test_acceptance import _random_scenario
 
 def _kkt_scale(problem, res):
     # The size of the terms the residual cancels, as the kernel judges it.
-    jac = problem.evaluate(res.x)[1]
+    jac = problem.evaluate(res.x)[1]()
     lam = np.concatenate([res.multipliers["terms"], res.multipliers["constraints"]])
     return 1.0 + np.abs(res.multipliers["bounds"]).sum() + lam @ np.linalg.norm(jac, axis=1)
 
@@ -25,13 +25,11 @@ def _warm_and_cold(monkeypatch, run):
     """
     pairs = []
 
-    def both(problem):
-        warm = solve_maxmin(problem)
-        if problem.warm is not None:
-            start, problem.warm = problem.warm, None
-            pairs.append((problem, warm, solve_maxmin(problem)))
-            problem.warm = start
-        return warm
+    def both(problem, warm=None):
+        res = solve_maxmin(problem, warm)
+        if warm is not None:
+            pairs.append((problem, res, solve_maxmin(problem)))
+        return res
 
     monkeypatch.setattr(allocation, "solve_maxmin", both)
     run()
@@ -98,7 +96,7 @@ def test_phase_one_repairs_ball_start():
     problem = _ball_problem([2.0, 1.5])
     x, vals, ok, steps = _phase_one(problem.x0, problem)
     assert ok and 0 < steps
-    assert vals.tobytes() == problem.values(x).tobytes()
+    assert vals.tobytes() == problem.evaluate(x)[0].tobytes()
     assert np.all(x > 0.0) and float(x @ x) < 1.0
 
     res = solve_maxmin(problem)
@@ -119,9 +117,7 @@ def test_warm_start_outside_the_problem_falls_back_to_x0():
     assert float(far.x @ far.x) > 1.0
 
     cold = solve_maxmin(_ball_problem([0.1, 0.1]))
-    warm_problem = _ball_problem([0.1, 0.1])
-    warm_problem.warm = far
-    warm = solve_maxmin(warm_problem)
+    warm = solve_maxmin(_ball_problem([0.1, 0.1]), far)
     assert warm.status == STATUS_CONVERGED
     assert warm.newton_iters == cold.newton_iters
     np.testing.assert_array_equal(warm.x, cold.x)
