@@ -16,7 +16,6 @@ import csv
 import hashlib
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 from .allocation import capacity_allocation, sca_power_allocation
@@ -71,6 +70,8 @@ class ExperimentConfig:
             raise ConfigValidationError("sweep grid must be strictly increasing")
         if self.axis == "n_ris" and not all(float(v).is_integer() for v in self.grid):
             raise ConfigValidationError("n_ris grid values must be integers")
+        for value in self.grid:
+            _point_scenario(self, value)
         if self.horizon < MIN_DELAY_HORIZON:
             raise ConfigValidationError(f"horizon must be >= {MIN_DELAY_HORIZON}")
         if self.workers < 1:
@@ -271,15 +272,19 @@ def _operating_rates(
     return res.rate_h, res.rate_l, 0
 
 
+def _point_scenario(config: ExperimentConfig, value: float) -> ScenarioParams:
+    """The config's scenario with its sweep axis set to value."""
+    field = _AXIS_FIELDS[config.axis]
+    try:
+        return replace(config.scenario, **{field: int(value) if field == "n_r" else value})
+    except ValueError as exc:
+        raise ConfigValidationError(f"{config.axis} grid value {value!r}: {exc}") from exc
+
+
 def _sweep_point(args: tuple[ExperimentConfig, int, float]) -> list[SweepRow]:
     config, index, value = args
     schemes = ["mcsc", "oma"] if config.scheme == "both" else [config.scheme]
-    field = _AXIS_FIELDS[config.axis]
-    try:
-        scenario = replace(config.scenario, **{field: int(value) if field == "n_r" else value})
-    except ValueError as exc:
-        return [SweepRow(value, s, status=f"error:{type(exc).__name__}") for s in schemes]
-
+    scenario = _point_scenario(config, value)
     rows = []
     for scheme in schemes:
         cells = {}
@@ -324,6 +329,7 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     payloads = [(config, i, v) for i, v in enumerate(config.grid)]
     workers = min(config.workers, len(payloads))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costs 30 ms at import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_point, payloads))
     else:

@@ -149,7 +149,7 @@ def _solve_newton_system(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tuple,
                  direction: float, stop: Callable[[np.ndarray], bool] | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, int, bool, tuple]:
+                 ) -> tuple[np.ndarray, np.ndarray, int, bool, np.ndarray, np.ndarray]:
     """
     Primal-dual interior-point loop (Boyd & Vandenberghe, Convex
     Optimization, §11.7) minimising direction * e over z = [x, e] subject to
@@ -163,15 +163,14 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
     takes the Newton step on the modified KKT system, stops the multipliers
     short of zero, and backtracks until a candidate is accepted.  Each
     candidate inside the lower bounds is evaluated once; it must have F < 0,
-    and then it is accepted if the barrier merit c @ z - sum(log(-F)) / t
-    decreases enough, or else if the residual norm does, the only test that
-    builds the candidate's Jacobian.  The accepted candidate's evaluation
-    serves the next step.  The Newton step always descends the merit, whose
-    test does not depend on how the rows are scaled; on badly scaled rows
-    the residual norm alone admits only tiny steps.  Returns (z, lam, Newton
-    steps, whether eta and the dual residual cleared their tolerances, the
-    problem's evaluation at z), stopping early once ``stop(row values)``
-    holds.
+    and then its Jacobian is built once and it is accepted if the barrier
+    merit c @ z - sum(log(-F)) / t decreases enough, or else if the residual
+    norm does.  The accepted candidate's evaluation and Jacobian serve the
+    next step.  The Newton step always descends the merit, whose test does
+    not depend on how the rows are scaled; on badly scaled rows the residual
+    norm alone admits only tiny steps.  Returns (z, lam, Newton steps,
+    whether eta and the dual residual cleared their tolerances, the row
+    values and Jacobian at z), stopping early once ``stop(row values)`` holds.
     """
     sel, sign, coef = rows
     n = len(z) - 1
@@ -195,11 +194,12 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
         f[k:] = lb_b - point[bounded]
         return f
 
-    def jacobian(evaluation: tuple) -> np.ndarray:
-        """DF from the problem's row Jacobian in an evaluation."""
+    def jacobian(evaluation: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' Jacobian in an evaluation, and DF built from it."""
+        jac = evaluation[1]()
         df = df_fixed.copy()
-        np.multiply(sign_col, evaluation[1]()[sel], out=df[:k, :n])
-        return df
+        np.multiply(sign_col, jac[sel], out=df[:k, :n])
+        return jac, df
 
     def residual(r_dual, f, lam, t):
         """Norm of the modified KKT residual: dual, then centrality."""
@@ -209,7 +209,7 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
         return direction * float(point[n]) - np.log(-f).sum() / t
 
     evaluation = problem.evaluate(z[:n])
-    f, df = constraints(z, evaluation[0]), jacobian(evaluation)
+    f, (jac, df) = constraints(z, evaluation[0]), jacobian(evaluation)
     weights = np.zeros(len(evaluation[0]))  # the row Hessians' weights, zero off sel
     if lam is None:
         lam = np.maximum(df @ _solve_newton_system(df.T @ df, c), 1.0 / -f)
@@ -224,9 +224,9 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
         if (stop is not None and stop(vals)) or (
                 eta <= _ETA_TOL
                 and _norm(r_dual) <= _FEAS_TOL * (1.0 + lam @ np.linalg.norm(df, axis=1))):
-            return z, lam, steps, True, evaluation
+            return z, lam, steps, True, vals, jac
         if steps == _MAX_NEWTON:
-            return z, lam, steps, False, evaluation
+            return z, lam, steps, False, vals, jac
         steps += 1
         t = _MU * m / eta
         neg_f = -f
@@ -246,41 +246,43 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
                 evaluation_c = problem.evaluate(cand[:n])
                 f_c = constraints(cand, evaluation_c[0])
                 if (f_c < 0.0).all():
-                    if merit(cand, f_c, t) <= merit0 + s * slope:
-                        break
+                    jac_c, df_c = jacobian(evaluation_c)
                     lam_c = lam + s * dlam
-                    df_c = jacobian(evaluation_c)
-                    if residual(c + df_c.T @ lam_c, f_c, lam_c, t) <= (1.0 - _ARMIJO * s) * r0:
+                    if (merit(cand, f_c, t) <= merit0 + s * slope
+                            or residual(c + df_c.T @ lam_c, f_c, lam_c, t)
+                            <= (1.0 - _ARMIJO * s) * r0):
                         break
             s *= _BACKTRACK
         else:
-            return z, lam, steps, False, evaluation
-        z, lam, f, evaluation = cand, lam + s * dlam, f_c, evaluation_c
-        df = jacobian(evaluation)
+            return z, lam, steps, False, vals, jac
+        z, lam, f, evaluation, jac, df = cand, lam_c, f_c, evaluation_c, jac_c, df_c
 
 
 def _max_violation(vals: np.ndarray, n_terms: int) -> float:
     return float(max(vals[n_terms:], default=-1.0))
 
 
-def _phase_one(x: np.ndarray, problem: Rows) -> tuple[np.ndarray, np.ndarray, bool, int]:
+def _phase_one(x: np.ndarray, problem: Rows, vals: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray, bool, int]:
     """
     Minimise the maximum constraint violation to recover a strictly
     feasible point.  Works on w = [x, s] with constraints g_j(x) - s <= 0
-    plus the original lower bounds; stops as soon as s can be pushed
-    negative.  Returns the point, its row values, whether it is strictly
-    feasible, and the Newton steps taken.
+    plus the original lower bounds, from x moved inside them; stops as soon
+    as s can be pushed negative.  ``vals``, the row values at x, save an
+    evaluation unless x moved.  Returns the point, its row values, whether
+    it is strictly feasible, and the Newton steps taken.
     """
     n, n_t = problem.n, problem.n_terms
     lb = problem.bounds()
-    x = x.copy()
+    x0, x = x, x.copy()
     bounded = np.isfinite(lb)
     x[bounded] = np.maximum(x[bounded], lb[bounded] + 1e-9)
-
-    cons = problem.evaluate(x)[0][n_t:]
+    if vals is None or not np.array_equal(x, x0):
+        vals = problem.evaluate(x)[0]
+    cons = vals[n_t:]
     rows = (slice(n_t, None), np.ones(cons.size), -np.ones(cons.size))
     s0 = max(float(max(cons, default=-1.0)), 0.0) + 1.0
-    w, _, newton, _, (vals, _, _) = _primal_dual(  # minimise s
+    w, _, newton, _, vals, _ = _primal_dual(  # minimise s
         problem, np.append(x, s0), None, rows, 1.0,
         stop=lambda vals: _max_violation(vals, n_t) < -1e-12)
     return w[:n], vals, _max_violation(vals, n_t) < 0.0, newton
@@ -309,7 +311,7 @@ def solve_maxmin(problem: Rows, warm: KernelResult | None = None) -> KernelResul
     bounded = np.isfinite(lb)
     vals = problem.evaluate(x)[0] if np.all(x[bounded] > lb[bounded]) else None
     if vals is None or not _max_violation(vals, n_t) < 0.0:
-        x, vals, ok, newton_total = _phase_one(x, problem)
+        x, vals, ok, newton_total = _phase_one(x, problem, vals)
         loops += 1
         if not ok:
             return KernelResult(
@@ -330,10 +332,9 @@ def solve_maxmin(problem: Rows, warm: KernelResult | None = None) -> KernelResul
             mult = warm.multipliers
             z, lam = pulled, np.concatenate(
                 [mult["terms"], mult["constraints"], mult["bounds"][bounded]])
-    z, lam, newton, done, (vals, jacobian, _) = _primal_dual(
+    z, lam, newton, done, vals, jac = _primal_dual(
         problem, z, lam, (slice(None), sign, coef), -1.0)
     newton_total += newton
-    jac = jacobian()
 
     x_star = z[:n]
     viol = max(_max_violation(vals, n_t), 0.0)

@@ -104,15 +104,15 @@ def _levels(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     Queue after each slot, q_t = max(q_{t-1} - s_t, 0) + a_t from an empty
     queue, for service s and arrivals a.
 
-    The loop runs on Python floats, which is the same IEEE arithmetic as on
-    numpy scalars at about a fifth of the cost, one block of slots at a time; the
-    level carries across blocks.
+    The loop runs on Python floats, a block of slots at a time, with the level
+    carried across blocks.  For finite inputs its compare and branch gives
+    the bits of max on numpy scalars (level == s_t gives +0.0 either way).
     """
     q = np.empty(len(s))
     level = 0.0
     for lo in range(0, len(s), _LEVEL_BLOCK):
         hi = lo + _LEVEL_BLOCK
-        q[lo:hi] = [level := max(level - s_t, 0.0) + a_t
+        q[lo:hi] = [level := (level - s_t if level > s_t else 0.0) + a_t
                     for s_t, a_t in zip(s[lo:hi].tolist(), a[lo:hi].tolist())]
     return q
 

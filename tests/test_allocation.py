@@ -195,16 +195,19 @@ def test_stacked_rows_match_finite_differences(scenario, gains, alpha):
 
 def test_default_grid_evaluates_each_point_once(monkeypatch):
     # The line search evaluates each candidate once and hands the accepted
-    # one's evaluation to the next Newton step.  Each of the grid's 26 inner
-    # solves reads its start twice, once to test it and once in the loop;
-    # no other point is evaluated twice.
+    # one's evaluation and Jacobian to the next Newton step.  Each of the
+    # grid's 26 inner solves reads its start twice, once to test it and once
+    # in the loop; no other point is evaluated twice.  The loop builds each
+    # Jacobian once: the residual test's serves the accepted point, and the
+    # last point's serves the KKT residual.
     check = record_evaluations(monkeypatch, allocation._Subproblem)
     config = default_config()
     for alpha in config.grid:
         capacity_allocation(config.scenario, alpha)
-    evaluations, repeats = check()
+    evaluations, repeats, jacobians = check()
     assert evaluations <= 764
     assert repeats == 26
+    assert jacobians <= 436
 
 
 def test_array_rows_match_per_row_callables(scenario, gains):

@@ -1,8 +1,11 @@
 """Experiment-layer tests: config ingestion, SE points, sweeps, CSV, CLI."""
 
 import csv
+import hashlib
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +24,7 @@ from duallink import (
     tipping_point,
 )
 from duallink.cli import _TRACE_ROWS_PER_WRITE, _write_trace, main
+from duallink import experiments
 from duallink.experiments import CSV_HEADER, default_config, write_rows
 
 GOLDEN_SWEEP = os.path.join(os.path.dirname(__file__), "data", "sweep_default.csv")
@@ -272,16 +276,43 @@ def test_sweep_csv_roundtrip_and_determinism(tmp_path):
     assert meta.startswith("seed=3\nconfig_sha256=")
 
 
-def test_sweep_error_row_keeps_going(tmp_path):
+def test_sweep_error_row_keeps_going(tmp_path, monkeypatch):
+    # A point whose solve raises gets an error row, and the sweep goes on.
+    capacity_point = experiments._capacity_point
+
+    def failing(scenario, alpha, *args, **kwargs):
+        if alpha == 0.05:
+            raise RuntimeError("the solver failed")
+        return capacity_point(scenario, alpha, *args, **kwargs)
+
+    monkeypatch.setattr("duallink.experiments._capacity_point", failing)
     out = str(tmp_path / "s.csv")
     cfg = load_config(write(
         tmp_path, "exp.cfg",
-        f"axis = q_d\ngrid = 0.2, 1.5\nscheme = oma\nmetrics = se\nout = {out}\n",
+        f"axis = alpha\ngrid = 0.05, 0.1\nscheme = oma\nmetrics = se\nout = {out}\n",
     ))
     rows = run_sweep(cfg)
-    assert rows[0].status == "ok"
-    assert rows[1].status.startswith("error:")
-    assert rows[1].se_sum is None
+    assert rows[0].status == "error:RuntimeError"
+    assert rows[0].se_sum is None
+    assert rows[1].status == "ok"
+
+
+@pytest.mark.parametrize("axis, grid, bad", [
+    ("q_d", "0.2, 1.5", 1.5),     # not a probability
+    ("q_d", "0.05, 0.2", 0.05),   # below the default q_r = 0.1
+    ("n_ris", "0, 100", 0.0),
+    ("arrival", "-5, 100", -5.0),
+])
+def test_sweep_rejects_bad_grid_values(tmp_path, capsys, axis, grid, bad):
+    # A grid value no scenario accepts fails at the config boundary, naming
+    # the axis and the value, before any point runs or any file is written.
+    out = str(tmp_path / "s.csv")
+    cfg = write(tmp_path, "exp.cfg", f"axis = {axis}\ngrid = {grid}\nmetrics = se\n")
+    with pytest.raises(ConfigValidationError, match=f"^{axis} grid value "):
+        load_config(cfg)
+    assert main(["sweep", "--config", cfg, "--out", out]) == 2
+    assert f"error: {axis} grid value {bad!r}: " in capsys.readouterr().err
+    assert not os.path.exists(out) and not os.path.exists(out + ".meta")
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -309,13 +340,23 @@ def test_sweep_pool_has_at_most_one_worker_per_point(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("duallink.experiments.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     cfg, _ = _sweep_config(tmp_path)
     serial = run_sweep(cfg)
     assert run_sweep(replace(cfg, workers=5000)) == serial
     assert run_sweep(replace(cfg, workers=2)) == serial
     assert run_sweep(replace(cfg, grid=(0.05,), workers=5000)) == serial[2:4]
     assert sizes == [3, 2]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # Only a sweep with workers > 1 imports the process pool, so a CLI start
+    # does not pay its 30 ms.
+    code = "import sys, duallink.cli; print('concurrent.futures.process' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 def test_delay_sweep_lc_only_matches_time_sharing(tmp_path):
@@ -448,6 +489,30 @@ def test_cli_simulate_writes_trace(tmp_path, capsys):
     assert "stable=" in capsys.readouterr().out
 
 
+# The default `duallink simulate`: the trace CSV's SHA-256 and the stdout.
+DEFAULT_TRACE_SHA256 = "ab98185260efdf7fdde6387218cadde73abd6cd817a3c4d26d6270d38958dc99"
+DEFAULT_SIMULATE_STDOUT = (
+    "wrote 100000 slots to <out>\n"
+    "mean queues: hc=78.840 lc=10415.257 stable=True\n"
+    "hc delay: 1.1263 slots\n"
+    "lc delay: 16.5322 slots\n"
+)
+
+
+def test_default_simulate_output_is_pinned(tmp_path, capsys):
+    """
+    The default `duallink simulate` writes the same trace bytes and prints
+    the same lines as the constants record.  They were taken with numpy
+    2.4.6 and assume its Generator streams for the Poisson, binomial and
+    uniform draws; a numpy release that changes those streams moves them.
+    """
+    out = str(tmp_path / "trace.csv")
+    assert main(["simulate", "--out", out]) == 0
+    with open(out, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == DEFAULT_TRACE_SHA256
+    assert capsys.readouterr().out.replace(out, "<out>") == DEFAULT_SIMULATE_STDOUT
+
+
 def test_cli_simulate_honours_explicit_sweep_csv(tmp_path, monkeypatch, capsys):
     # The name sweep.csv is the sweep's default, but given explicitly to
     # simulate it is where the trace goes.
@@ -464,9 +529,24 @@ def test_cli_simulate_honours_explicit_sweep_csv(tmp_path, monkeypatch, capsys):
     assert os.path.exists("trace.csv")
 
 
+# Integers at the edges of their digit counts.
+_INT_EDGES = np.array([0, 9, 10, 99, 100, 999_999, 1_000_000])
+
+
 def _synthetic_trace(kind: str, slots: int) -> QueueTrace:
     rng = np.random.default_rng(5)
     ints = rng.integers(0, 300, (4, slots))
+    if kind == "edges":
+        # Integer edges, an integer column all zeros in its first block, and
+        # negative and unsigned integer columns, which are written as text.
+        floats = rng.random((4, slots)) * 10.0 ** rng.integers(-20, 20, (4, slots))
+        a_h = np.resize(_INT_EDGES, slots)
+        a_l = a_h[::-1].copy()
+        a_l[:_TRACE_ROWS_PER_WRITE] = 0
+        negative = rng.integers(-128, 128, slots).astype(np.int8)
+        unsigned = np.resize(_INT_EDGES, slots).astype(np.uint32)
+        return QueueTrace(a_h, a_l, floats[0], floats[1], negative, unsigned,
+                          floats[2], floats[3], seed=0, scenario_digest="synthetic")
     if kind == "random":
         floats = rng.random((4, slots)) * 10.0 ** rng.integers(-20, 20, (4, slots))
         floats[:, :3] = [0.0, 1e-300, 2.5][:slots]
@@ -485,27 +565,29 @@ def _synthetic_trace(kind: str, slots: int) -> QueueTrace:
 
 
 def test_trace_writer_matches_csv_module(tmp_path):
-    # The column-wise writer gives the bytes of a csv.writer row loop with
-    # repr floats, across its block boundaries.
-    for kind in ("random", "runs"):
-        for slots in (1, _TRACE_ROWS_PER_WRITE - 1, _TRACE_ROWS_PER_WRITE,
-                      _TRACE_ROWS_PER_WRITE + 1, 10_000):
-            trace = _synthetic_trace(kind, slots)
-            fast = tmp_path / "fast.csv"
-            _write_trace(str(fast), trace)
-            ref = tmp_path / "ref.csv"
-            with open(ref, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["slot", "a_h", "a_l", "beta_d", "beta_r",
-                                 "s_h", "s_l", "q_h", "q_l"])
-                for t in range(slots):
-                    writer.writerow([
-                        t, int(trace.a_h[t]), int(trace.a_l[t]),
-                        int(trace.beta_d[t]), int(trace.beta_r[t]),
-                        repr(float(trace.s_h[t])), repr(float(trace.s_l[t])),
-                        repr(float(trace.q_h[t])), repr(float(trace.q_l[t])),
-                    ])
-            assert fast.read_bytes() == ref.read_bytes(), (kind, slots)
+    # The byte-matrix writer gives the bytes of a csv.writer row loop with
+    # repr floats, across its block boundaries; at 100,001 slots the slot
+    # column goes from 99999 to 100000.
+    cases = [(kind, slots) for kind in ("random", "runs", "edges")
+             for slots in (1, _TRACE_ROWS_PER_WRITE - 1, _TRACE_ROWS_PER_WRITE,
+                           _TRACE_ROWS_PER_WRITE + 1, 10_000)]
+    for kind, slots in [*cases, ("edges", 100_001)]:
+        trace = _synthetic_trace(kind, slots)
+        fast = tmp_path / "fast.csv"
+        _write_trace(str(fast), trace)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["slot", "a_h", "a_l", "beta_d", "beta_r",
+                             "s_h", "s_l", "q_h", "q_l"])
+            for t in range(slots):
+                writer.writerow([
+                    t, int(trace.a_h[t]), int(trace.a_l[t]),
+                    int(trace.beta_d[t]), int(trace.beta_r[t]),
+                    repr(float(trace.s_h[t])), repr(float(trace.s_l[t])),
+                    repr(float(trace.q_h[t])), repr(float(trace.q_l[t])),
+                ])
+        assert fast.read_bytes() == ref.read_bytes(), (kind, slots)
 
 
 def test_cli_simulate_rejects_short_horizon(tmp_path, monkeypatch, capsys):

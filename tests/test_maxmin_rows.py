@@ -51,18 +51,27 @@ def test_phase_one_on_curved_constraint():
 
 def record_evaluations(monkeypatch, cls):
     """
-    Record every point at which a problem of class cls is evaluated and every
-    point a primal-dual loop starts from; returns a function that checks that
-    only loop starts were evaluated more than once and returns
-    (evaluations, repeats).
+    Record every point at which a problem of class cls is evaluated, every
+    point whose row Jacobian is built, and every point a primal-dual loop
+    starts from; returns a function that checks that only loop starts were
+    evaluated, or had their Jacobian built, more than once and returns
+    (evaluations, repeats, Jacobian builds).
     """
-    problems, evaluated, starts = {}, defaultdict(list), defaultdict(set)
+    problems, starts = {}, defaultdict(set)
+    evaluated, built = defaultdict(list), defaultdict(list)
     evaluate, primal_dual = cls.evaluate, maxmin._primal_dual
 
     def recorded_evaluate(self, x):
         problems[id(self)] = self  # keeps the id from being reused
-        evaluated[id(self)].append(x.tobytes())
-        return evaluate(self, x)
+        point = x.tobytes()
+        evaluated[id(self)].append(point)
+        vals, jacobian, weighted_hessian = evaluate(self, x)
+
+        def recorded_jacobian():
+            built[id(self)].append(point)
+            return jacobian()
+
+        return vals, recorded_jacobian, weighted_hessian
 
     def recorded_primal_dual(problem, z, *args, **kwargs):
         starts[id(problem)].add(z[:-1].tobytes())
@@ -77,7 +86,8 @@ def record_evaluations(monkeypatch, cls):
             counts = Counter(points)
             assert {x for x, c in counts.items() if c > 1} <= starts[key]
             repeats += len(points) - len(counts)
-        return sum(map(len, evaluated.values())), repeats
+            assert {x for x, c in Counter(built[key]).items() if c > 1} <= starts[key]
+        return sum(map(len, evaluated.values())), repeats, sum(map(len, built.values()))
 
     return check
 
@@ -86,11 +96,14 @@ def test_phase_one_and_warm_start_evaluate_each_accepted_point_once(monkeypatch)
     # From outside the ball, warm-started from the solve of the same rows:
     # phase I, then the main loop from the pulled warm point.  A point the
     # line search accepts is evaluated once; only loop starts repeat: x0 is
-    # read by the feasibility test, by phase I and by its loop, the pulled
-    # point by the warm start's test and by the main loop.
+    # read by the feasibility test and by phase I's loop, which gets the
+    # test's values for its own start, the pulled point by the warm start's
+    # test and by the main loop.  Phase I's last point starts the main
+    # loop's search too, and is the one point whose Jacobian is built twice.
     warm = solve_maxmin(ball_problem([0.1, 0.1]))
     check = record_evaluations(monkeypatch, MaxMinProblem)
     res = solve_maxmin(ball_problem([2.0, 1.5]), warm)
     assert res.status == STATUS_CONVERGED and res.outer_iters == 2
-    evaluations, repeats = check()
-    assert repeats == 3 and evaluations > res.newton_iters
+    evaluations, repeats, jacobians = check()
+    assert repeats == 2 and evaluations > res.newton_iters
+    assert jacobians < evaluations

@@ -124,8 +124,18 @@ def _service_rates(scenario, margin_h, margin_l):
 
 
 # Loads: light (both queues mostly empty), heavy (LC served at half its
-# arrival rate, so its queue never empties), and no service at all.
-_LOADS = {"light": (3.0, 3.0), "heavy": (1.05, 0.5), "none": (0.0, 0.0)}
+# arrival rate, so its queue never empties), no service at all, and tie:
+# whole packets of service per slot, about each class's mean arrivals, so
+# that a level often equals the service and the queue empties exactly.
+_LOADS = {"light": (3.0, 3.0), "heavy": (1.05, 0.5), "none": (0.0, 0.0), "tie": (1.05, 1.05)}
+
+
+def _load_rates(scenario, load):
+    rates = _service_rates(scenario, *_LOADS[load])
+    if load == "tie":
+        serv = scenario.slot_duration / scenario.packet_size
+        rates = tuple(round(rate * serv) / serv for rate in rates)
+    return rates
 
 
 @pytest.mark.parametrize("slots", [1, _LEVEL_BLOCK - 1, _LEVEL_BLOCK, _LEVEL_BLOCK + 1, 100_000])
@@ -133,9 +143,14 @@ _LOADS = {"light": (3.0, 3.0), "heavy": (1.05, 0.5), "none": (0.0, 0.0)}
 def test_recursion_matches_scalar_loop(scenario, load, slots):
     # The blocked recursion on Python floats gives the bits of a slot-by-slot
     # loop on numpy scalars, with the level carried across block boundaries.
-    trace = run_simulation(scenario, _service_rates(scenario, *_LOADS[load]), slots, seed=21)
+    trace = run_simulation(scenario, _load_rates(scenario, load), slots, seed=21)
     if load == "heavy":
         assert trace.q_l.min() > 0.0
+    if load == "tie":
+        for q, s in ((trace.q_h, trace.s_h), (trace.q_l, trace.s_l)):
+            assert (s == np.round(s)).all() and s.max() > 0.0
+            if slots == 100_000:
+                assert (q[:-1] == s[1:]).sum() > 10  # level - s_t is exactly 0.0
     for q, a, s in ((trace.q_h, trace.a_h, trace.s_h),
                     (trace.q_l, trace.a_l, trace.s_l)):
         ref = np.empty(slots)
