@@ -24,7 +24,6 @@ from .experiments import (
     read_rows,
     run_sweep,
     spectral_efficiency,
-    tipping_point,
 )
 from .link import (
     BlockageState,
@@ -62,7 +61,7 @@ __all__ = [
     "oma_max_feasible_arrival", "oma_optimize", "oma_rates", "optimal_mu",
     "read_rows", "ris_gain", "run_simulation", "run_sweep",
     "sample_blockage_batch", "sca_power_allocation", "solve_maxmin",
-    "spectral_efficiency", "tipping_point", "weighted_min_gap",
+    "spectral_efficiency", "weighted_min_gap",
 ]
 
 __version__ = "0.1.0"

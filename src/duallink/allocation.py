@@ -10,8 +10,8 @@ program with the interior-point kernel, started from the previous
 iteration's solution and multipliers; one such run on reweighted gaps finds
 the largest stabilisable arrival rate.  When only one class carries traffic
 both the gap and the capacity optimum are closed form and no inner solve
-runs.  A simplex-grid brute-force search over the closed-form objective
-serves as an independent check.
+runs.  A brute-force search of the closed-form objective over the
+simplex grid's full-budget face serves as an independent check.
 """
 
 from __future__ import annotations
@@ -414,39 +414,36 @@ def brute_force_oracle(
     most p_max; the closed-form objective needs no inner optimisation, so
     the search is exact on the grid.  Intended as an independent check of
     the iterative allocator.
+
+    Only the face where the budget is spent is searched: p_h_r appears in
+    the HC signals alone (LC is decoded after HC is cancelled), and both HC
+    ratios rise with it, so handing p_h_r the leftover budget never lowers
+    min(alpha gap_h, (1 - alpha) gap_l).  Each p_h_d index i is one
+    vectorised pass over the (p_l_d, p_l_r) triangle; the first maximum in
+    i wins.  Where extra HC power buys nothing the maximum ties with
+    interior points, and the face point is returned.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     alpha, arrival = _traffic(scenario, alpha, arrival)
     w_d, w_r, noise_w, serv = _coeffs(scenario)
     forms = decoding_forms(w_d, w_r)
-    step = scenario.p_max / (grid_n - 1)
-
+    top = grid_n - 1
+    step = scenario.p_max / top
     idx = np.arange(grid_n)
-    jj, kk, ll = np.meshgrid(idx, idx, idx, indexing="ij")
-    mask = (jj + kk + ll) <= (grid_n - 1)
-    j = jj[mask]
-    k = kk[mask]
-    m = ll[mask]
-    tri_sum = j + k + m
+    k, m = np.nonzero(np.add.outer(idx, idx) <= top)  # LC grid indices, k + m <= top
 
     best_obj = -np.inf
     best_p = (0.0, 0.0, 0.0, 0.0)
     for i in range(grid_n):
-        sel = tri_sum <= (grid_n - 1 - i)
-        if not np.any(sel):
-            break
-        p_h_r = j[sel] * step
-        p_l_d = k[sel] * step
-        p_l_r = m[sel] * step
-        obj = _objective_terms_np(
-            (i * step, p_h_r, p_l_d, p_l_r), forms, noise_w, serv,
-            scenario.q_d, scenario.q_r, alpha, arrival, alpha, 1.0 - alpha,
-        )[4]
+        lc = k + m <= top - i
+        p = (i * step, (top - i - k[lc] - m[lc]) * step, k[lc] * step, m[lc] * step)
+        obj = _objective_terms_np(p, forms, noise_w, serv, scenario.q_d, scenario.q_r,
+                                  alpha, arrival, alpha, 1.0 - alpha)[4]
         t = int(np.argmax(obj))
         if obj[t] > best_obj:
             best_obj = float(obj[t])
-            best_p = (i * step, float(p_h_r[t]), float(p_l_d[t]), float(p_l_r[t]))
+            best_p = (p[0], float(p[1][t]), float(p[2][t]), float(p[3][t]))
     return PowerAllocation(*best_p), best_obj
 
 

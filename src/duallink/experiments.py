@@ -309,7 +309,7 @@ def _sweep_point(args: tuple[ExperimentConfig, int, float]) -> list[SweepRow]:
                 cells.update(tau_h_slots=stats.tau_h_slots, tau_l_slots=stats.tau_l_slots,
                              stable=stats.stable)
             rows.append(SweepRow(value, scheme, **cells))
-        except Exception as exc:  # keep the sweep alive on a bad point
+        except (ValueError, RuntimeError, ArithmeticError) as exc:  # the solver's failures
             rows.append(SweepRow(value, scheme, status=f"error:{type(exc).__name__}"))
     return rows
 
@@ -421,18 +421,3 @@ def _write_sidecar(config: ExperimentConfig) -> None:
     with open(config.out + ".meta", "w", encoding="utf-8") as fh:
         fh.write(f"seed={config.seed}\n")
         fh.write(f"config_sha256={config_digest(config)}\n")
-
-
-def tipping_point(rows: list[SweepRow]) -> float | None:
-    """
-    Sweep value where the superposition scheme's sum SE leads the baseline
-    by the widest margin; None unless both schemes are present.
-    """
-    mcsc = {r.sweep_value: r.se_sum for r in rows
-            if r.scheme == "mcsc" and r.status == "ok" and r.se_sum is not None}
-    oma = {r.sweep_value: r.se_sum for r in rows
-           if r.scheme == "oma" and r.status == "ok" and r.se_sum is not None}
-    shared = sorted(set(mcsc) & set(oma))
-    if not shared:
-        return None
-    return max(shared, key=lambda v: mcsc[v] - oma[v])

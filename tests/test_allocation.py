@@ -27,7 +27,7 @@ from duallink import (
     weighted_min_gap,
 )
 from duallink import allocation
-from duallink.allocation import _build_subproblem, _coeffs, _sca
+from duallink.allocation import _build_subproblem, _coeffs, _objective_terms_np, _sca
 from duallink.link import decoding_forms
 from test_acceptance import _random_scenario
 from test_maxmin_rows import record_evaluations
@@ -308,6 +308,61 @@ def test_oracle_concentrates_lc_direct(scenario):
 def test_oracle_concentrates_hc_ris(scenario):
     p_best, _ = brute_force_oracle(scenario, 1.0, 700.0, grid_n=21)
     assert p_best.p_h_r >= 0.95 * scenario.p_max
+
+
+def _grid_oracle_4d(scenario, alpha, arrival, grid_n):
+    """The grid oracle over the whole simplex grid, budget slack included."""
+    w_d, w_r, noise_w, serv = _coeffs(scenario)
+    forms = decoding_forms(w_d, w_r)
+    step = scenario.p_max / (grid_n - 1)
+
+    idx = np.arange(grid_n)
+    jj, kk, ll = np.meshgrid(idx, idx, idx, indexing="ij")
+    mask = (jj + kk + ll) <= (grid_n - 1)
+    j = jj[mask]
+    k = kk[mask]
+    m = ll[mask]
+    tri_sum = j + k + m
+
+    best_obj = -np.inf
+    best_p = (0.0, 0.0, 0.0, 0.0)
+    for i in range(grid_n):
+        sel = tri_sum <= (grid_n - 1 - i)
+        p_h_r = j[sel] * step
+        p_l_d = k[sel] * step
+        p_l_r = m[sel] * step
+        obj = _objective_terms_np(
+            (i * step, p_h_r, p_l_d, p_l_r), forms, noise_w, serv,
+            scenario.q_d, scenario.q_r, alpha, arrival, alpha, 1.0 - alpha,
+        )[4]
+        t = int(np.argmax(obj))
+        if obj[t] > best_obj:
+            best_obj = float(obj[t])
+            best_p = (i * step, float(p_h_r[t]), float(p_l_d[t]), float(p_l_r[t]))
+    return PowerAllocation(*best_p), best_obj
+
+
+@pytest.mark.parametrize("grid_n", [2, 5, 21])
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("n_r", [None, 10**8])  # w_d >> w_r, and mostly w_r > w_d
+def test_oracle_face_search_matches_full_grid(n_r, alpha, grid_n):
+    # The oracle searches only the full-budget face.  Its maximum equals the
+    # whole grid's bit for bit.  Its powers differ from the full search's only
+    # on a tie: the LC term binds, the leftover HC power buys nothing, and the
+    # full search stopped short of the budget (12 of the 90 cases here, all
+    # with no LC power at alpha = 0.5 or 0.9).
+    rng = np.random.default_rng(42)
+    for _ in range(3):
+        sc, _ = _random_scenario(rng)
+        sc = sc if n_r is None else replace(sc, n_r=n_r)
+        p_ref, obj_ref = _grid_oracle_4d(sc, alpha, 700.0, grid_n)
+        p, obj = brute_force_oracle(sc, alpha, 700.0, grid_n=grid_n)
+        assert obj == obj_ref
+        step = sc.p_max / (grid_n - 1)
+        assert np.rint(p.as_array() / step).sum() == grid_n - 1
+        assert objective_for_powers(p, sc, alpha, 700.0)[4] == obj
+        if p != p_ref:
+            assert np.rint(p_ref.as_array() / step).sum() < grid_n - 1
 
 
 def test_sca_all_lc_matches_closed_form(scenario):

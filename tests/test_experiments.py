@@ -21,7 +21,6 @@ from duallink import (
     read_rows,
     run_sweep,
     spectral_efficiency,
-    tipping_point,
 )
 from duallink.cli import _TRACE_ROWS_PER_WRITE, _write_trace, main
 from duallink import experiments
@@ -297,6 +296,21 @@ def test_sweep_error_row_keeps_going(tmp_path, monkeypatch):
     assert rows[1].status == "ok"
 
 
+def test_sweep_raises_a_coding_error(tmp_path, monkeypatch):
+    # Only the solver's own failures become error rows; a failed assert is a bug.
+    def failing(*args, **kwargs):
+        raise AssertionError("a broken invariant")
+
+    monkeypatch.setattr("duallink.experiments._capacity_point", failing)
+    out = str(tmp_path / "s.csv")
+    cfg = load_config(write(
+        tmp_path, "exp.cfg",
+        f"axis = alpha\ngrid = 0.05, 0.1\nscheme = oma\nmetrics = se\nout = {out}\n",
+    ))
+    with pytest.raises(AssertionError, match="a broken invariant"):
+        run_sweep(cfg)
+
+
 @pytest.mark.parametrize("axis, grid, bad", [
     ("q_d", "0.2, 1.5", 1.5),     # not a probability
     ("q_d", "0.05, 0.2", 0.05),   # below the default q_r = 0.1
@@ -416,18 +430,6 @@ def test_sweep_arrival_axis_delay(tmp_path):
     assert all(r.stable for r in rows)
     # heavier load, longer waits
     assert rows[1].tau_l_slots > rows[0].tau_l_slots
-
-
-def test_tipping_point_prefers_largest_gap():
-    from duallink.experiments import SweepRow
-
-    rows = [
-        SweepRow(0.0, "mcsc", se_sum=9.3), SweepRow(0.0, "oma", se_sum=9.3),
-        SweepRow(0.1, "mcsc", se_sum=8.9), SweepRow(0.1, "oma", se_sum=6.0),
-        SweepRow(0.2, "mcsc", se_sum=7.0), SweepRow(0.2, "oma", se_sum=5.0),
-    ]
-    assert tipping_point(rows) == 0.1
-    assert tipping_point([]) is None
 
 
 def test_write_rows_formats_cells(tmp_path):
@@ -626,6 +628,17 @@ def test_cli_rejects_grid_n_before_solving(monkeypatch, capsys, grid_n):
     monkeypatch.setattr("duallink.cli.sca_power_allocation", never)
     assert main(["oracle", "--grid-n", grid_n]) == 2
     assert "error: --grid-n" in capsys.readouterr().err
+
+
+def test_cli_oracle_output_is_pinned(capsys):
+    # The default config at grid 101, digit for digit.
+    assert main(["oracle", "--grid-n", "101"]) == 0
+    assert capsys.readouterr().out == (
+        "allocator objective = 6.173789 (5 iterations)\n"
+        "oracle    objective = 5.979473 (grid 101)\n"
+        "oracle powers mW: hc_direct=1.100000 hc_ris=8.300000 lc_direct=0.600000 "
+        "lc_ris=0.000000\n"
+    )
 
 
 def test_default_sweep_matches_golden(tmp_path):
