@@ -190,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
             _print_oracle(config, args.grid_n)
         elif args.command == "simulate":
             _run_simulate(config)
-    except (FileNotFoundError, ConfigParseError, ConfigValidationError) as exc:
+    except (OSError, ConfigParseError, ConfigValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -30,17 +30,6 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 _DEFAULT_NOISE_PSD = 10.0 ** (-174.0 / 10.0) * 1e-3
 
 
-def _bisect_increasing(fn, lo: float, hi: float, iters: int = 200) -> float:
-    """Root of an increasing scalar function on [lo, hi] by plain bisection."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def default_geometry(n_b: int, d_bu: float, d_br: float, d_ru: float):
     """
     Derive departure/arrival angles for the canonical flat layout.
@@ -58,6 +47,14 @@ def default_geometry(n_b: int, d_bu: float, d_br: float, d_ru: float):
     * The reflector panel faces the base station broadside, which makes its
       configured phase profile the received-power-maximising one.
 
+    The BS rotation is closed form.  With sep the user-reflector separation
+    seen from the BS and mid the mean departure angle (phi_bu, phi_br =
+    mid -/+ sep/2), sin(phi_br) - sin(phi_bu) = 2 cos(mid) sin(sep/2), at most
+    max_gap = 2 sin(sep/2).  The beam spacing gap = 2m/n_b, m = floor(max_gap
+    n_b / 2), is met at mid = acos(gap / max_gap).  If that puts phi_br past
+    pi/2, the edge of the panel's view, no such pair exists, and the panel
+    turns as far as it can, to sin(phi_bu) = 1 - gap - 1e-12.
+
     Returns ``(phi_bu, phi_br, phi_rb, phi_ru)`` in radians.
     """
     if not (abs(d_br - d_ru) < d_bu < d_br + d_ru):
@@ -70,19 +67,16 @@ def default_geometry(n_b: int, d_bu: float, d_br: float, d_ru: float):
     y_r = math.sqrt(max(d_br**2 - x_r**2, 0.0))
     sep = math.atan2(y_r, x_r)
 
-    # Largest achievable sine gap over panel rotations is 2*sin(sep/2).
     max_gap = 2.0 * math.sin(0.5 * sep)
     m = int(math.floor(max_gap * n_b / 2.0))
     if m >= 1:
         gap = 2.0 * m / n_b
-        # asin(s+gap) - asin(s) is increasing for s > -gap/2; match sep.
-        s0 = _bisect_increasing(
-            lambda s: math.asin(s + gap) - math.asin(s) - sep,
-            -0.5 * gap,
-            1.0 - gap - 1e-12,
-        )
-        phi_bu = math.asin(s0)
-        phi_br = math.asin(s0 + gap)
+        mid = math.acos(min(gap / max_gap, 1.0))
+        if mid + 0.5 * sep <= 0.5 * math.pi:
+            phi_bu, phi_br = mid - 0.5 * sep, mid + 0.5 * sep
+        else:
+            s = 1.0 - gap - 1e-12
+            phi_bu, phi_br = math.asin(s), math.asin(s + gap)
     else:
         # Separation below one beamwidth: center the panel on the pair.
         phi_bu = -0.5 * sep

@@ -610,6 +610,14 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve --config", "simulate --out"])
+def test_cli_reports_a_directory_path(tmp_path, capsys, command):
+    # A path that names a directory fails like a missing file: exit 2 and a
+    # one-line error, not an IsADirectoryError traceback.
+    assert main(command.split() + [str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_rejects_overflow_and_negative_seed(tmp_path, capsys):
     huge = write(tmp_path, "huge.cfg", "p_max = 4000\n")
     assert main(["solve", "--config", huge]) == 2
@@ -641,12 +649,19 @@ def test_cli_oracle_output_is_pinned(capsys):
     )
 
 
-def test_default_sweep_matches_golden(tmp_path):
+def test_default_sweep_matches_golden(tmp_path, monkeypatch):
     # The default sweep against its committed CSV: text cells and counts
     # exactly, numbers within 1e-12 relative.  A change that moves a number
-    # on purpose regenerates the file with `duallink sweep`.
+    # on purpose regenerates the file with `duallink sweep`.  The sidecar is
+    # pinned byte for byte: its digest hashes repr(config), so it moves with
+    # any default, the derived panel angles included.
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep"]) == 0
     out = str(tmp_path / "sweep.csv")
-    run_sweep(replace(default_config(), out=out))
+    assert (tmp_path / "sweep.csv.meta").read_text() == (
+        "seed=1\n"
+        "config_sha256=3e984dfb2e426ce7440f8a857f51749946a41304192f57181b08dd614b0aba21\n"
+    )
     with open(GOLDEN_SWEEP, newline="") as fh:
         golden = list(csv.reader(fh))
     with open(out, newline="") as fh:

@@ -13,6 +13,7 @@ from duallink import (
     ScenarioParams,
     approx_sinrs,
     array_response,
+    default_geometry,
     direct_gain,
     exact_sinrs,
     link_gains,
@@ -229,6 +230,67 @@ def test_exact_deviates_for_misaligned_panel(scenario, gains):
     _, sinr_l = exact_sinrs(sc, p, BlockageState(1, 1))
     _, approx_l = approx_sinrs(gains, sc.n_b, sc.n_r, p, BlockageState(1, 1))
     assert abs(sinr_l - approx_l) / approx_l > 0.01
+
+
+def _beam_spacing(n_b, d_bu, d_br, d_ru):
+    """User-reflector separation seen from the BS, and the widest beam
+    spacing m (in units of 2/n_b) a panel rotation can give it."""
+    x_r = (d_bu**2 + d_br**2 - d_ru**2) / (2.0 * d_bu)
+    sep = math.atan2(math.sqrt(max(d_br**2 - x_r**2, 0.0)), x_r)
+    return sep, int(math.floor(math.sin(0.5 * sep) * n_b))
+
+
+def _geometry_by_bisection(n_b, d_bu, d_br, d_ru):
+    """Reference for default_geometry: the panel rotation found by 200
+    bisection steps on asin(s + gap) - asin(s) = sep, which increases in s
+    over [-gap/2, 1 - gap - 1e-12]; ends at the upper end when no root lies
+    inside."""
+    sep, m = _beam_spacing(n_b, d_bu, d_br, d_ru)
+    if m >= 1:
+        gap = 2.0 * m / n_b
+        lo, hi = -0.5 * gap, 1.0 - gap - 1e-12
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if math.asin(mid + gap) - math.asin(mid) - sep < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        s0 = 0.5 * (lo + hi)
+        phi_bu, phi_br = math.asin(s0), math.asin(s0 + gap)
+    else:
+        phi_bu, phi_br = -0.5 * sep, 0.5 * sep
+    cos_sep_r = (d_br**2 + d_ru**2 - d_bu**2) / (2.0 * d_br * d_ru)
+    phi_ru = math.asin(math.sin(math.acos(max(-1.0, min(1.0, cos_sep_r)))))
+    return phi_bu, phi_br, 0.0, phi_ru
+
+
+def test_geometry_closed_form_matches_bisection():
+    # The default layout, then 10,000 random ones: n_b from 2 to 1024 and
+    # distances log-uniform over 0.1-100 m, kept when they form a triangle.
+    rng = np.random.default_rng(19)
+    layouts = [(64, 10.0, 8.7, 2.0)]
+    while len(layouts) < 10001:
+        n_b = int(rng.integers(2, 1025))
+        d_bu, d_br, d_ru = 10.0 ** rng.uniform(-1.0, 2.0, 3)
+        if abs(d_br - d_ru) < d_bu < d_br + d_ru:
+            layouts.append((n_b, d_bu, d_br, d_ru))
+    closed = fallback = 0
+    for n_b, d_bu, d_br, d_ru in layouts:
+        got = default_geometry(n_b, d_bu, d_br, d_ru)
+        want = _geometry_by_bisection(n_b, d_bu, d_br, d_ru)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9, (n_b, d_bu, d_br, d_ru)
+        sep, m = _beam_spacing(n_b, d_bu, d_br, d_ru)
+        if m < 1:
+            continue
+        gap = 2.0 * m / n_b
+        if math.asin(1.0 - 1e-12) - math.asin(1.0 - gap - 1e-12) < sep:
+            fallback += 1  # the bisection's root lies past its interval
+            continue
+        closed += 1
+        phi_bu, phi_br = got[:2]
+        assert abs(phi_br - phi_bu - sep) <= 1e-12
+        assert abs(math.sin(phi_br) - math.sin(phi_bu) - gap) <= 1e-12
+    assert fallback >= 1 and closed >= 9000
 
 
 def test_sample_blockage_degenerate_cases():

@@ -87,11 +87,8 @@ def test_quadratic_constraint_vs_grid():
     res = solve_maxmin(prob)
 
     xs = np.linspace(0.0, 1.0, 801)
-    best = -np.inf
-    for a in xs:
-        for b in xs:
-            if a * a + b * b <= 1.0:
-                best = max(best, min(a + b, 3 * a))
+    a, b = np.meshgrid(xs, xs, indexing="ij")
+    best = np.minimum(a + b, 3 * a)[a * a + b * b <= 1.0].max()
     assert res.value >= best - 2e-3
     assert res.max_violation <= 1e-9
 
@@ -194,10 +191,8 @@ def test_random_affine_problems_match_grid():
         )
         res = solve_maxmin(prob)
         xs = np.linspace(0.0, cap, 601)
-        best = max(
-            min(float(c1 @ [a, b]), float(c2 @ [a, b]))
-            for a in xs
-            for b in xs[xs <= cap - a + 1e-12]
-        )
+        a, b = np.meshgrid(xs, xs, indexing="ij")
+        both = np.minimum(c1[0] * a + c1[1] * b, c2[0] * a + c2[1] * b)
+        best = both[b <= cap - a + 1e-12].max()
         assert res.value >= best - 5e-3
         assert res.max_violation <= 1e-9
