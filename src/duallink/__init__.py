@@ -41,7 +41,7 @@ from .link import (
     sample_blockage_batch,
 )
 from .maxmin import KernelResult, MaxMinProblem, kkt_residual, solve_maxmin
-from .oma import OmaResult, oma_max_feasible_arrival, oma_optimize, oma_rates
+from .oma import OmaResult, oma_max_feasible_arrival, oma_optimize
 from .queuesim import (
     DelayStats,
     QueueTrace,
@@ -58,8 +58,8 @@ __all__ = [
     "default_config", "default_geometry", "direct_gain", "exact_sinrs", "g_h",
     "g_l", "kkt_residual", "link_gains", "load_config", "max_feasible_arrival",
     "mean_delay", "noise_power", "objective_for_powers",
-    "oma_max_feasible_arrival", "oma_optimize", "oma_rates", "optimal_mu",
-    "read_rows", "ris_gain", "run_simulation", "run_sweep",
+    "oma_max_feasible_arrival", "oma_optimize", "optimal_mu", "read_rows",
+    "ris_gain", "run_simulation", "run_sweep",
     "sample_blockage_batch", "sca_power_allocation", "solve_maxmin",
     "spectral_efficiency", "weighted_min_gap",
 ]

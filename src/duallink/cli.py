@@ -10,8 +10,10 @@ and --scheme; scenario and sweep selection live in the config file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
+from typing import BinaryIO
 
 import numpy as np
 
@@ -101,7 +103,7 @@ def _print_solve(config) -> None:
             print(f"  objective={res.objective:.6f} iterations={res.iterations} "
                   f"converged={res.converged}")
         else:
-            res = oma_optimize(scenario, lc_ris_assist=config.oma_lc_ris)
+            res = oma_optimize(scenario)
             print(f"[oma] alpha={scenario.alpha} arrival={scenario.arrival_rate}")
             print(f"  time_fraction={res.time_fraction:.6f}")
             print(f"  rates bit/s: hc={res.rate_h:.6e} lc={res.rate_l:.6e}")
@@ -125,9 +127,15 @@ def _print_oracle(config, grid_n: int) -> None:
 def _run_simulate(config) -> None:
     scenario = config.scenario
     scheme = "mcsc" if config.scheme == "both" else config.scheme
-    rate_h, rate_l, _ = _operating_rates(scenario, scheme, oma_lc_ris=config.oma_lc_ris)
-    trace = run_simulation(scenario, (rate_h, rate_l), config.horizon, config.seed)
-    _write_trace(config.out, trace)
+    with open(config.out, "wb") as fh:  # a path that cannot be written fails before any work
+        try:
+            rate_h, rate_l, _ = _operating_rates(scenario, scheme)
+            trace = run_simulation(scenario, (rate_h, rate_l), config.horizon, config.seed)
+            _write_trace(fh, trace)
+        except BaseException:  # leave no partial trace behind
+            fh.close()
+            os.remove(config.out)
+            raise
     stats = mean_delay(trace, scenario.alpha, scenario.arrival_rate,
                        scenario.slot_duration)
     print(f"wrote {len(trace)} slots to {config.out}")
@@ -139,23 +147,23 @@ def _run_simulate(config) -> None:
         print(f"lc delay: {stats.tau_l_slots:.4f} slots")
 
 
-def _write_trace(path: str, trace: QueueTrace) -> None:
+def _write_trace(fh: BinaryIO, trace: QueueTrace) -> None:
     """
-    Write the trace as CSV, one row per slot, floats at full precision.  A
-    block of rows is one byte matrix: the columns' zero-padded cells with
-    comma and newline columns between them, written without its zero bytes.
+    Write the trace to a binary file as CSV, one row per slot, floats at
+    full precision.  A block of rows is one byte matrix: the columns'
+    zero-padded cells with comma and newline columns between them, written
+    without its zero bytes.
     """
     columns = [getattr(trace, name) for name in _TRACE_COLUMNS]
-    with open(path, "wb") as fh:
-        fh.write(",".join(("slot", *_TRACE_COLUMNS)).encode() + b"\n")
-        for lo in range(0, len(trace), _TRACE_ROWS_PER_WRITE):
-            hi = min(lo + _TRACE_ROWS_PER_WRITE, len(trace))
-            cells = [_cells(np.arange(lo, hi)), *(_cells(col[lo:hi]) for col in columns)]
-            comma = np.full((hi - lo, 1), ord(","), dtype=np.uint8)
-            parts = [part for cell in cells for part in (cell, comma)]
-            parts[-1] = np.full_like(comma, ord("\n"))
-            block = np.concatenate(parts, axis=1)
-            fh.write(block[block != 0])
+    fh.write(",".join(("slot", *_TRACE_COLUMNS)).encode() + b"\n")
+    for lo in range(0, len(trace), _TRACE_ROWS_PER_WRITE):
+        hi = min(lo + _TRACE_ROWS_PER_WRITE, len(trace))
+        cells = [_cells(np.arange(lo, hi)), *(_cells(col[lo:hi]) for col in columns)]
+        comma = np.full((hi - lo, 1), ord(","), dtype=np.uint8)
+        parts = [part for cell in cells for part in (cell, comma)]
+        parts[-1] = np.full_like(comma, ord("\n"))
+        block = np.concatenate(parts, axis=1)
+        fh.write(block[block != 0])
 
 
 def _cells(col: np.ndarray) -> np.ndarray:

@@ -53,8 +53,6 @@ class ExperimentConfig:
     seed: int = 1
     out: str | None = None  # None: the writing command's own default file
     workers: int = 1
-    se_weighted: bool = True
-    oma_lc_ris: bool = False
 
     def __post_init__(self):
         if self.axis not in _AXIS_FIELDS:
@@ -121,16 +119,6 @@ _SCENARIO_CONVERSIONS = {
 _SCENARIO_INTS = {"n_b", "n_r"}
 _EXPERIMENT_STRS = {"axis", "scheme", "metrics", "out"}
 _EXPERIMENT_INTS = {"horizon", "seed", "workers"}
-_EXPERIMENT_BOOLS = {"se_weighted", "oma_lc_ris"}
-
-
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigValidationError(f"{key}: expected a boolean, got {raw!r}")
 
 
 def _parse_number(key: str, raw: str, integer: bool = False) -> float | int:
@@ -158,9 +146,8 @@ def load_config(path: str) -> ExperimentConfig:
     given in GHz, p_max in dBm, noise_psd in dBm/Hz, g_b and g_u in dB, all
     other values in their SI units.  Experiment keys: axis, grid (comma
     separated), scheme, metrics, horizon (at least MIN_DELAY_HORIZON slots,
-    whatever the metrics), seed, out, workers, se_weighted, oma_lc_ris.
-    Lines starting with '#' are ignored.  An empty file yields the default
-    scenario and sweep.
+    whatever the metrics), seed, out, workers.  Lines starting with '#' are
+    ignored.  An empty file yields the default scenario and sweep.
 
     Raises FileNotFoundError, ConfigParseError, or ConfigValidationError.
     """
@@ -200,8 +187,6 @@ def load_config(path: str) -> ExperimentConfig:
             experiment_kwargs[key] = value
         elif key in _EXPERIMENT_INTS:
             experiment_kwargs[key] = _parse_number(key, value, integer=True)
-        elif key in _EXPERIMENT_BOOLS:
-            experiment_kwargs[key] = _parse_bool(key, value)
         else:
             raise ConfigValidationError(f"unknown config key {key!r}")
 
@@ -213,62 +198,46 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def spectral_efficiency(
-    scenario: ScenarioParams,
-    alpha: float,
-    scheme: str = "mcsc",
-    *,
-    weighted: bool = True,
-    oma_lc_ris: bool = False,
+    scenario: ScenarioParams, alpha: float, scheme: str = "mcsc"
 ) -> tuple[float, float, float]:
     """
     Per-stream and sum spectral efficiency [bit/s/Hz] at the largest
     stabilisable arrival rate for the given HC fraction.
 
-    With ``weighted`` (the default) each stream's rate is discounted by its
-    route availability, i.e. the long-run successfully delivered rate per
-    hertz; otherwise the raw Shannon rates are reported.
+    Each stream's rate is weighted by its route's availability (1 - q_r for
+    HC, 1 - q_d for LC): the long-run rate per hertz it delivers.
     """
-    se_h, se_l, *_ = _capacity_point(
-        scenario, alpha, scheme, weighted=weighted, oma_lc_ris=oma_lc_ris)
+    se_h, se_l, *_ = _capacity_point(scenario, alpha, scheme)
     return se_h, se_l, se_h + se_l
 
 
 def _capacity_point(
-    scenario: ScenarioParams,
-    alpha: float,
-    scheme: str,
-    *,
-    weighted: bool,
-    oma_lc_ris: bool,
+    scenario: ScenarioParams, alpha: float, scheme: str
 ) -> tuple[float, float, float, int]:
     """(se_h, se_l, a_star, iterations) at the feasibility boundary."""
     if scheme == "mcsc":
         res = capacity_allocation(scenario, alpha)
         a_star, rate_h, rate_l, iters = res.objective, res.rate_h, res.rate_l, res.iterations
     elif scheme == "oma":
-        a_star = oma_max_feasible_arrival(scenario, alpha, lc_ris_assist=oma_lc_ris)
-        res = oma_optimize(scenario, alpha, a_star, lc_ris_assist=oma_lc_ris)
+        a_star = oma_max_feasible_arrival(scenario, alpha)
+        res = oma_optimize(scenario, alpha, a_star)
         rate_h, rate_l, iters = res.rate_h, res.rate_l, 0
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    wh = (1.0 - scenario.q_r) if weighted else 1.0
-    wl = (1.0 - scenario.q_d) if weighted else 1.0
     return (
-        wh * rate_h / scenario.bandwidth,
-        wl * rate_l / scenario.bandwidth,
+        (1.0 - scenario.q_r) * rate_h / scenario.bandwidth,
+        (1.0 - scenario.q_d) * rate_l / scenario.bandwidth,
         a_star,
         iters,
     )
 
 
-def _operating_rates(
-    scenario: ScenarioParams, scheme: str, *, oma_lc_ris: bool
-) -> tuple[float, float, int]:
+def _operating_rates(scenario: ScenarioParams, scheme: str) -> tuple[float, float, int]:
     """Stream rates [bit/s] at the configured traffic, for queue simulation."""
     if scheme == "mcsc":
         res = sca_power_allocation(scenario)
         return res.rate_h, res.rate_l, res.iterations
-    res = oma_optimize(scenario, lc_ris_assist=oma_lc_ris)
+    res = oma_optimize(scenario)
     return res.rate_h, res.rate_l, 0
 
 
@@ -290,15 +259,11 @@ def _sweep_point(args: tuple[ExperimentConfig, int, float]) -> list[SweepRow]:
         cells = {}
         try:
             if config.metrics in ("se", "both"):
-                se_h, se_l, a_star, iterations = _capacity_point(
-                    scenario, scenario.alpha, scheme,
-                    weighted=config.se_weighted, oma_lc_ris=config.oma_lc_ris,
-                )
+                se_h, se_l, a_star, iterations = _capacity_point(scenario, scenario.alpha, scheme)
                 cells.update(se_h=se_h, se_l=se_l, se_sum=se_h + se_l, a_star=a_star,
                              iterations=iterations)
             if config.metrics in ("delay", "both"):
-                rate_h, rate_l, sim_iters = _operating_rates(
-                    scenario, scheme, oma_lc_ris=config.oma_lc_ris)
+                rate_h, rate_l, sim_iters = _operating_rates(scenario, scheme)
                 cells.setdefault("iterations", sim_iters)
                 trace = run_simulation(
                     scenario, (rate_h, rate_l), config.horizon, config.seed + index

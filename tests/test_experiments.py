@@ -78,7 +78,9 @@ def test_bad_blockage_order_rejected(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    for text in ("carrier = 300\n", "alt_hc_surrogate = true\n"):
+    # Retired options are unknown keys, not silently ignored ones.
+    for text in ("carrier = 300\n", "alt_hc_surrogate = true\n", "oma_lc_ris = true\n",
+                 "se_weighted = false\n"):
         with pytest.raises(ConfigValidationError, match="unknown config key"):
             load_config(write(tmp_path, "bad.cfg", text))
 
@@ -207,13 +209,6 @@ def test_se_zero_when_direct_always_blocked():
     sc = ScenarioParams(q_d=1.0, q_r=0.1)
     _, se_l, _ = spectral_efficiency(sc, 0.1, "mcsc")
     assert se_l == pytest.approx(0.0, abs=1e-9)
-
-
-def test_se_unweighted_variant():
-    sc = ScenarioParams()
-    weighted = spectral_efficiency(sc, 0.0, "mcsc")[2]
-    shannon = spectral_efficiency(sc, 0.0, "mcsc", weighted=False)[2]
-    assert shannon == pytest.approx(weighted / (1 - sc.q_d), rel=1e-6)
 
 
 def _sweep_config(tmp_path, extra=""):
@@ -576,19 +571,17 @@ def test_trace_writer_matches_csv_module(tmp_path):
     for kind, slots in [*cases, ("edges", 100_001)]:
         trace = _synthetic_trace(kind, slots)
         fast = tmp_path / "fast.csv"
-        _write_trace(str(fast), trace)
+        with open(fast, "wb") as fh:
+            _write_trace(fh, trace)
         ref = tmp_path / "ref.csv"
         with open(ref, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["slot", "a_h", "a_l", "beta_d", "beta_r",
                              "s_h", "s_l", "q_h", "q_l"])
-            for t in range(slots):
-                writer.writerow([
-                    t, int(trace.a_h[t]), int(trace.a_l[t]),
-                    int(trace.beta_d[t]), int(trace.beta_r[t]),
-                    repr(float(trace.s_h[t])), repr(float(trace.s_l[t])),
-                    repr(float(trace.q_h[t])), repr(float(trace.q_l[t])),
-                ])
+            ints = [col.tolist() for col in (trace.a_h, trace.a_l, trace.beta_d, trace.beta_r)]
+            floats = [map(repr, col.tolist()) for col in (trace.s_h, trace.s_l,
+                                                          trace.q_h, trace.q_l)]
+            writer.writerows(zip(range(slots), *ints, *floats))
         assert fast.read_bytes() == ref.read_bytes(), (kind, slots)
 
 
@@ -602,6 +595,27 @@ def test_cli_simulate_rejects_short_horizon(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--config", cfg_path, "--out", out]) == 2
     assert "error: horizon must be >= 1000" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_cli_simulate_opens_the_trace_before_solving(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the allocator ran")
+
+    monkeypatch.setattr("duallink.cli._operating_rates", never)
+    out = str(tmp_path / "nodir" / "trace.csv")
+    assert main(["simulate", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_simulate_leaves_no_partial_trace(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("inner solve lost feasibility")
+
+    monkeypatch.setattr("duallink.cli._operating_rates", fail)
+    out = tmp_path / "trace.csv"
+    with pytest.raises(RuntimeError):
+        main(["simulate", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):
@@ -660,7 +674,7 @@ def test_default_sweep_matches_golden(tmp_path, monkeypatch):
     out = str(tmp_path / "sweep.csv")
     assert (tmp_path / "sweep.csv.meta").read_text() == (
         "seed=1\n"
-        "config_sha256=3e984dfb2e426ce7440f8a857f51749946a41304192f57181b08dd614b0aba21\n"
+        "config_sha256=95d393294e4f5a55fe0d593f37f5f8ef87ccd53e5da5b8679d433fb25f535466\n"
     )
     with open(GOLDEN_SWEEP, newline="") as fh:
         golden = list(csv.reader(fh))

@@ -240,28 +240,25 @@ def _beam_spacing(n_b, d_bu, d_br, d_ru):
     return sep, int(math.floor(math.sin(0.5 * sep) * n_b))
 
 
-def _geometry_by_bisection(n_b, d_bu, d_br, d_ru):
-    """Reference for default_geometry: the panel rotation found by 200
-    bisection steps on asin(s + gap) - asin(s) = sep, which increases in s
-    over [-gap/2, 1 - gap - 1e-12]; ends at the upper end when no root lies
-    inside."""
-    sep, m = _beam_spacing(n_b, d_bu, d_br, d_ru)
-    if m >= 1:
-        gap = 2.0 * m / n_b
-        lo, hi = -0.5 * gap, 1.0 - gap - 1e-12
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if math.asin(mid + gap) - math.asin(mid) - sep < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        s0 = 0.5 * (lo + hi)
-        phi_bu, phi_br = math.asin(s0), math.asin(s0 + gap)
-    else:
-        phi_bu, phi_br = -0.5 * sep, 0.5 * sep
+def _geometry_by_bisection(layouts):
+    """Reference for default_geometry, one row per layout: the panel rotation
+    found by 200 bisection steps on asin(s + gap) - asin(s) = sep, which
+    increases in s over [-gap/2, 1 - gap - 1e-12]; ends at the upper end when
+    no root lies inside.  All layouts bisect at once."""
+    n_b, d_bu, d_br, d_ru = np.array(layouts, dtype=float).T
+    sep, m = np.array([_beam_spacing(*layout) for layout in layouts]).T
+    gap = 2.0 * m / n_b
+    lo, hi = -0.5 * gap, 1.0 - gap - 1e-12
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = np.arcsin(mid + gap) - np.arcsin(mid) - sep < 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    s0 = 0.5 * (lo + hi)
+    phi_bu = np.where(m >= 1, np.arcsin(s0), -0.5 * sep)
+    phi_br = np.where(m >= 1, np.arcsin(s0 + gap), 0.5 * sep)
     cos_sep_r = (d_br**2 + d_ru**2 - d_bu**2) / (2.0 * d_br * d_ru)
-    phi_ru = math.asin(math.sin(math.acos(max(-1.0, min(1.0, cos_sep_r)))))
-    return phi_bu, phi_br, 0.0, phi_ru
+    phi_ru = np.arcsin(np.sin(np.arccos(np.clip(cos_sep_r, -1.0, 1.0))))
+    return np.column_stack([phi_bu, phi_br, np.zeros_like(phi_bu), phi_ru])
 
 
 def test_geometry_closed_form_matches_bisection():
@@ -271,13 +268,12 @@ def test_geometry_closed_form_matches_bisection():
     layouts = [(64, 10.0, 8.7, 2.0)]
     while len(layouts) < 10001:
         n_b = int(rng.integers(2, 1025))
-        d_bu, d_br, d_ru = 10.0 ** rng.uniform(-1.0, 2.0, 3)
+        d_bu, d_br, d_ru = (10.0 ** rng.uniform(-1.0, 2.0, 3)).tolist()
         if abs(d_br - d_ru) < d_bu < d_br + d_ru:
             layouts.append((n_b, d_bu, d_br, d_ru))
     closed = fallback = 0
-    for n_b, d_bu, d_br, d_ru in layouts:
+    for (n_b, d_bu, d_br, d_ru), want in zip(layouts, _geometry_by_bisection(layouts)):
         got = default_geometry(n_b, d_bu, d_br, d_ru)
-        want = _geometry_by_bisection(n_b, d_bu, d_br, d_ru)
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9, (n_b, d_bu, d_br, d_ru)
         sep, m = _beam_spacing(n_b, d_bu, d_br, d_ru)
         if m < 1:

@@ -9,7 +9,6 @@ from duallink import (
     objective_for_powers,
     oma_max_feasible_arrival,
     oma_optimize,
-    oma_rates,
     sca_power_allocation,
 )
 
@@ -23,48 +22,38 @@ def scenario():
 
 
 def test_rates_endpoints(scenario):
-    r_h, r_l = oma_rates(0.0, scenario)
-    assert r_h == 0.0
-    assert r_l == pytest.approx(RATE_DIRECT_FULL, rel=1e-12)
-    r_h, r_l = oma_rates(1.0, scenario)
-    assert r_h == pytest.approx(RATE_RIS_FULL, rel=1e-12)
-    assert r_l == 0.0
+    # With one class only, the whole slot goes to its full-power phase.
+    res = oma_optimize(scenario, 0.0, 700.0)
+    assert res.rate_h == 0.0
+    assert res.rate_l == pytest.approx(RATE_DIRECT_FULL, rel=1e-12)
+    res = oma_optimize(scenario, 1.0, 700.0)
+    assert res.rate_h == pytest.approx(RATE_RIS_FULL, rel=1e-12)
+    assert res.rate_l == 0.0
 
 
 def test_rates_linear_in_split(scenario):
-    full_h, _ = oma_rates(1.0, scenario)
-    _, full_l = oma_rates(0.0, scenario)
-    r_h, r_l = oma_rates(0.5, scenario)
-    assert r_h == pytest.approx(0.5 * full_h, rel=1e-12)
-    assert r_l == pytest.approx(0.5 * full_l, rel=1e-12)
-
-
-def test_rates_reject_bad_split(scenario):
-    with pytest.raises(ValueError):
-        oma_rates(1.5, scenario)
+    # Each mix has its own interior split; each phase's rate scales with it.
+    taus = set()
+    for alpha in (0.02, 0.05, 0.1):
+        res = oma_optimize(scenario, alpha, 700.0)
+        tau = res.time_fraction
+        taus.add(tau)
+        assert 0.0 < tau < 1.0
+        assert res.rate_h == pytest.approx(tau * RATE_RIS_FULL, rel=1e-12)
+        assert res.rate_l == pytest.approx((1.0 - tau) * RATE_DIRECT_FULL, rel=1e-12)
+    assert len(taus) == 3
 
 
 def test_gaps_affine_in_split(scenario):
-    # Constant finite-difference slope across the whole range.
+    # Each gap is its full-phase service rate times its share of the slot,
+    # less its arrivals.
     res = oma_optimize(scenario, 0.1, 700.0)
+    tau = res.time_fraction
     serv = scenario.slot_duration * scenario.bandwidth / scenario.packet_size
-
-    def gaps(tau):
-        r_h, r_l = oma_rates(tau, scenario)
-        g_h = (1 - scenario.q_r) * (r_h / scenario.bandwidth) * serv - 0.1 * 700.0
-        g_l = (1 - scenario.q_d) * (r_l / scenario.bandwidth) * serv - 0.9 * 700.0
-        return g_h, g_l
-
-    taus = np.linspace(0.0, 1.0, 11)
-    slopes_h = []
-    slopes_l = []
-    for a, b in zip(taus, taus[1:]):
-        (h0, l0), (h1, l1) = gaps(a), gaps(b)
-        slopes_h.append((h1 - h0) / (b - a))
-        slopes_l.append((l1 - l0) / (b - a))
-    assert np.ptp(slopes_h) <= 1e-9 * abs(np.mean(slopes_h))
-    assert np.ptp(slopes_l) <= 1e-9 * abs(np.mean(slopes_l))
-    assert res.gap_h == pytest.approx(gaps(res.time_fraction)[0], rel=1e-9)
+    full_h = (1 - scenario.q_r) * serv * RATE_RIS_FULL / scenario.bandwidth
+    full_l = (1 - scenario.q_d) * serv * RATE_DIRECT_FULL / scenario.bandwidth
+    assert res.gap_h == pytest.approx(full_h * tau - 0.1 * 700.0, rel=1e-9)
+    assert res.gap_l == pytest.approx(full_l * (1.0 - tau) - 0.9 * 700.0, rel=1e-9)
 
 
 def test_optimize_endpoint_mixes(scenario):
@@ -133,9 +122,3 @@ def test_max_feasible_arrival_endpoints(scenario):
 def test_max_feasible_arrival_zero_when_lc_undeliverable():
     sc = ScenarioParams(q_d=1.0, q_r=0.1)
     assert oma_max_feasible_arrival(sc, 0.25) == 0.0
-
-
-def test_lc_ris_assist_flag_raises_lc_rate(scenario):
-    _, base = oma_rates(0.0, scenario)
-    _, assisted = oma_rates(0.0, scenario, lc_ris_assist=True)
-    assert assisted > base
