@@ -10,7 +10,9 @@ and --scheme; scenario and sweep selection live in the config file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import stat
 import sys
 from dataclasses import replace
 from typing import BinaryIO
@@ -127,15 +129,24 @@ def _print_oracle(config, grid_n: int) -> None:
 def _run_simulate(config) -> None:
     scenario = config.scenario
     scheme = "mcsc" if config.scheme == "both" else config.scheme
-    with open(config.out, "wb") as fh:  # a path that cannot be written fails before any work
-        try:
-            rate_h, rate_l, _ = _operating_rates(scenario, scheme)
-            trace = run_simulation(scenario, (rate_h, rate_l), config.horizon, config.seed)
-            _write_trace(fh, trace)
-        except BaseException:  # leave no partial trace behind
+    # Open before any work, so that a path that cannot be written fails at
+    # once, but truncate only once the trace is ready: a failed run leaves
+    # an earlier file intact, and removes only a file that it created.
+    created = not os.path.exists(config.out)
+    fh = open(os.open(config.out, os.O_WRONLY | os.O_CREAT, 0o666), "wb")
+    try:
+        rate_h, rate_l, _ = _operating_rates(scenario, scheme)
+        trace = run_simulation(scenario, (rate_h, rate_l), config.horizon, config.seed)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+        _write_trace(fh, trace)
+        fh.close()
+    except BaseException:
+        with contextlib.suppress(OSError):
             fh.close()
+        if created and os.path.isfile(config.out):
             os.remove(config.out)
-            raise
+        raise
     stats = mean_delay(trace, scenario.alpha, scenario.arrival_rate,
                        scenario.slot_duration)
     print(f"wrote {len(trace)} slots to {config.out}")

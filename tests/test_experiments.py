@@ -618,6 +618,40 @@ def test_cli_simulate_leaves_no_partial_trace(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_cli_simulate_failure_keeps_an_earlier_file(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("inner solve lost feasibility")
+
+    monkeypatch.setattr("duallink.cli._operating_rates", fail)
+    out = tmp_path / "trace.csv"
+    out.write_bytes(b"an earlier trace\n")
+    with pytest.raises(RuntimeError):
+        main(["simulate", "--out", str(out)])
+    assert out.read_bytes() == b"an earlier trace\n"
+
+
+def test_cli_simulate_failure_removes_no_device(monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("inner solve lost feasibility")
+
+    def never(path):
+        raise AssertionError(f"removed {path}")
+
+    monkeypatch.setattr("duallink.cli._operating_rates", fail)
+    monkeypatch.setattr("duallink.cli.os.remove", never)
+    with pytest.raises(RuntimeError):
+        main(["simulate", "--out", os.devnull])
+
+
+def test_cli_simulate_overwrites_a_longer_file(tmp_path, capsys):
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    reused.write_bytes(b"x" * 200_000)
+    cfg_path = write(tmp_path, "short.cfg", "horizon = 1000\n")
+    for out in (fresh, reused):
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
 def test_cli_reports_config_errors(tmp_path, capsys):
     bad = write(tmp_path, "bad.cfg", "unknown_key = 1\n")
     assert main(["solve", "--config", bad]) == 2
