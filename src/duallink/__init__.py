@@ -40,7 +40,7 @@ from .link import (
     ris_gain,
     sample_blockage_batch,
 )
-from .maxmin import KernelResult, MaxMinProblem, kkt_residual, solve_maxmin
+from .maxmin import KernelResult, solve_maxmin
 from .oma import OmaResult, oma_max_feasible_arrival, oma_optimize
 from .queuesim import (
     DelayStats,
@@ -52,11 +52,11 @@ from .queuesim import (
 __all__ = [
     "AuxiliaryMu", "BlockageState", "ConfigParseError",
     "ConfigValidationError", "DelayStats", "ExperimentConfig", "KernelResult",
-    "LinkGains", "MaxMinProblem", "OmaResult", "PowerAllocation", "QueueTrace",
+    "LinkGains", "OmaResult", "PowerAllocation", "QueueTrace",
     "ScenarioParams", "SolveResult", "SweepRow", "approx_sinrs",
     "array_response", "brute_force_oracle", "capacity_allocation",
     "default_config", "default_geometry", "direct_gain", "exact_sinrs", "g_h",
-    "g_l", "kkt_residual", "link_gains", "load_config", "max_feasible_arrival",
+    "g_l", "link_gains", "load_config", "max_feasible_arrival",
     "mean_delay", "noise_power", "objective_for_powers",
     "oma_max_feasible_arrival", "oma_optimize", "optimal_mu", "read_rows",
     "ris_gain", "run_simulation", "run_sweep",

@@ -220,9 +220,6 @@ class _Subproblem:
     n: int = 8
     n_terms: int = 2
 
-    def bounds(self) -> np.ndarray:
-        return np.zeros(self.n)
-
     def evaluate(self, x: np.ndarray):
         arg = np.maximum(self.a @ x, _SQRT_FLOOR)
         root = np.sqrt(arg)

@@ -19,8 +19,10 @@ import re
 from dataclasses import dataclass, fields, replace
 
 from .allocation import capacity_allocation, sca_power_allocation
-from .allocation import max_feasible_arrival  # noqa: F401  (bench/spans.py rebinds it here)
-from .link import ScenarioParams
+# Never called here; kept only so that bench/spans.py's rebind resolves, so its
+# allocation.probe span records nothing until the bench rebinds capacity_allocation.
+from .allocation import max_feasible_arrival  # noqa: F401
+from .link import ScenarioParams, link_gains, route_coefficients
 from .oma import oma_max_feasible_arrival, oma_optimize
 from .queuesim import MIN_DELAY_HORIZON, mean_delay, run_simulation
 
@@ -68,8 +70,9 @@ class ExperimentConfig:
             raise ConfigValidationError("sweep grid must be strictly increasing")
         if self.axis == "n_ris" and not all(float(v).is_integer() for v in self.grid):
             raise ConfigValidationError("n_ris grid values must be integers")
+        _check_routes(self.scenario, "scenario")
         for value in self.grid:
-            _point_scenario(self, value)
+            _check_routes(_point_scenario(self, value), f"{self.axis} grid value {value!r}")
         if self.horizon < MIN_DELAY_HORIZON:
             raise ConfigValidationError(f"horizon must be >= {MIN_DELAY_HORIZON}")
         if self.workers < 1:
@@ -248,6 +251,18 @@ def _point_scenario(config: ExperimentConfig, value: float) -> ScenarioParams:
         return replace(config.scenario, **{field: int(value) if field == "n_r" else value})
     except ValueError as exc:
         raise ConfigValidationError(f"{config.axis} grid value {value!r}: {exc}") from exc
+
+
+def _check_routes(scenario: ScenarioParams, where: str) -> None:
+    """Reject a scenario whose route coefficients the allocator cannot use."""
+    try:
+        w_d, w_r = route_coefficients(link_gains(scenario), scenario.n_b, scenario.n_r)
+        ok = 0.0 < w_d < math.inf and 0.0 < w_r < math.inf
+    except (ValueError, OverflowError):  # a gain is 0 or inf, or its square overflows
+        ok = False
+    if not ok:
+        raise ConfigValidationError(f"{where}: both route coefficients (received power "
+                                    "per transmitted watt) must be positive and finite")
 
 
 def _sweep_point(args: tuple[ExperimentConfig, int, float]) -> list[SweepRow]:

@@ -1,34 +1,30 @@
 """
 Dense primal-dual interior-point solver for small smooth max-min programs.
 
-Solves  maximize_x min_i f_i(x)  subject to  g_j(x) <= 0  and x >= lb,
+Solves  maximize_x min_i f_i(x)  subject to  g_j(x) <= 0  and x >= 0,
 with concave f_i and convex twice-differentiable g_j, via the epigraph
 reformulation  maximize t  s.t.  t - f_i(x) <= 0.  Problems here are tiny
 (around ten variables and a dozen constraints), so plain dense Newton steps
 with backtracking are entirely adequate and keep the package dependency-free.
 
 The kernel reads a problem as stacked rows, the terms f_i first and then the
-constraints g_j.  A problem has ``n``, ``n_terms``, ``x0`` and ``bounds()``;
-``evaluate(x)`` gives the row values, a zero-argument callable that builds
-their Jacobian (one row per term or constraint), and the weighted row Hessian
-w -> sum_i w_i Hessian(row_i).  The Jacobian is built only where a step
-needs it, so each point costs one evaluation.  ``solve_maxmin(problem,
-warm)`` starts from ``warm``, the result of a nearby problem with the same
-rows, when given.  ``MaxMinProblem`` stacks per-row callables.
+constraints g_j.  A problem has ``n``, ``n_terms``, ``x0`` and
+``evaluate(x)``, which gives the row values, a zero-argument callable that
+builds their Jacobian (one row per term or constraint), and the weighted row
+Hessian w -> sum_i w_i Hessian(row_i).  The Jacobian is built only where a
+step needs it, so each point costs one evaluation.  Every variable is
+bounded below by zero.  ``solve_maxmin(problem, warm)`` starts from
+``warm``, the result of a nearby problem with the same rows, when given.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol
 
 import numpy as np
 
-# x -> (value, gradient); treated as affine beyond first order.
-TermFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
-# x -> (value, gradient, hessian or None for affine).
-ConstraintFn = Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray | None]]
 # () -> the rows' Jacobian, an (n_rows, n) array, built on each call.
 Jacobian = Callable[[], np.ndarray]
 # Weights w over the rows -> sum_i w_i * Hessian(row_i), an n x n array.
@@ -46,58 +42,7 @@ class Rows(Protocol):
     n_terms: int
     x0: np.ndarray
 
-    def bounds(self) -> np.ndarray: ...
-
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, Jacobian, WeightedHessian]: ...
-
-
-@dataclass
-class MaxMinProblem:
-    """
-    Epigraph-ready max-min problem description.
-
-    terms: concave objective pieces, each returning (value, gradient).
-       The overall objective is their pointwise minimum.
-    constraints: convex inequalities g(x) <= 0 returning (value, gradient,
-       hessian); hessian None means affine.
-    x0: starting point, ideally strictly feasible (phase I repairs it
-       otherwise).
-    lower_bounds: per-variable lower bounds; None means all zeros. Use
-       -inf entries to leave a variable unbounded below.
-    """
-
-    n: int
-    terms: Sequence[TermFn]
-    constraints: Sequence[ConstraintFn]
-    x0: np.ndarray
-    lower_bounds: np.ndarray | None = None
-
-    def bounds(self) -> np.ndarray:
-        if self.lower_bounds is None:
-            return np.zeros(self.n)
-        return np.asarray(self.lower_bounds, dtype=float)
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
-    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, Jacobian, WeightedHessian]:
-        outs = [fn(x) for fn in (*self.terms, *self.constraints)]
-        vals = np.array([out[0] for out in outs], dtype=float)
-
-        def jacobian() -> np.ndarray:
-            return np.array([out[1] for out in outs], dtype=float).reshape(len(outs), self.n)
-
-        curved = [(i, out[2]) for i, out in enumerate(outs[self.n_terms:], self.n_terms)
-                  if out[2] is not None]
-
-        def weighted_hessian(w: np.ndarray) -> np.ndarray:
-            hess = np.zeros((self.n, self.n))
-            for i, h in curved:
-                hess += w[i] * h
-            return hess
-
-        return vals, jacobian, weighted_hessian
 
 
 # Fixed solver settings; deliberately unadventurous.
@@ -155,14 +100,14 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
     Optimization, §11.7) minimising direction * e over z = [x, e] subject to
     F(z) < 0.  F stacks sign * row(x) + coef * e for the problem rows sel,
     where rows = (sel, sign, coef) and e is the epigraph variable (main
-    solve) or the slack (phase I), then lb - x for the finite lower bounds.
+    solve) or the slack (phase I), then -x for the bounds x >= 0.
 
     lam are F's multipliers; None starts them at the least-norm multipliers
     that cancel the objective gradient, DF' lam = -c, floored at 1 / -F.  Each
     step sets the barrier weight t from the surrogate gap eta = -F @ lam,
     takes the Newton step on the modified KKT system, stops the multipliers
     short of zero, and backtracks until a candidate is accepted.  Each
-    candidate inside the lower bounds is evaluated once; it must have F < 0,
+    candidate with x > 0 is evaluated once; it must have F < 0,
     and then its Jacobian is built once and it is accepted if the barrier
     merit c @ z - sum(log(-F)) / t decreases enough, or else if the residual
     norm does.  The accepted candidate's evaluation and Jacobian serve the
@@ -175,15 +120,12 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
     sel, sign, coef = rows
     n = len(z) - 1
     k = len(sign)
-    lb = problem.bounds()
-    bounded = np.flatnonzero(np.isfinite(lb))
-    lb_b = lb[bounded]
-    m = k + bounded.size
+    m = k + n
     sign_col = sign[:, None]
     # DF's fixed entries: the e column of the row block and the bound rows.
     df_fixed = np.zeros((m, n + 1))
     df_fixed[:k, n] = coef
-    df_fixed[np.arange(k, m), bounded] = -1.0
+    df_fixed[k:, :n] = -np.eye(n)
     c = np.zeros(n + 1)
     c[n] = direction
 
@@ -191,7 +133,7 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
         """F at point from the problem's row values there."""
         f = np.empty(m)
         f[:k] = sign * vals[sel] + coef * point[n]
-        f[k:] = lb_b - point[bounded]
+        f[k:] = -point[:n]
         return f
 
     def jacobian(evaluation: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +184,7 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
         slope = _ARMIJO * float(grad @ dz)
         while s > 1e-16:
             cand = z + s * dz
-            if (cand[bounded] > lb_b).all():
+            if (cand[:n] > 0.0).all():
                 evaluation_c = problem.evaluate(cand[:n])
                 f_c = constraints(cand, evaluation_c[0])
                 if (f_c < 0.0).all():
@@ -267,16 +209,13 @@ def _phase_one(x: np.ndarray, problem: Rows, vals: np.ndarray | None = None
     """
     Minimise the maximum constraint violation to recover a strictly
     feasible point.  Works on w = [x, s] with constraints g_j(x) - s <= 0
-    plus the original lower bounds, from x moved inside them; stops as soon
+    plus the bounds x >= 0, from x moved inside them; stops as soon
     as s can be pushed negative.  ``vals``, the row values at x, save an
     evaluation unless x moved.  Returns the point, its row values, whether
     it is strictly feasible, and the Newton steps taken.
     """
     n, n_t = problem.n, problem.n_terms
-    lb = problem.bounds()
-    x0, x = x, x.copy()
-    bounded = np.isfinite(lb)
-    x[bounded] = np.maximum(x[bounded], lb[bounded] + 1e-9)
+    x0, x = x, np.maximum(x, 1e-9)
     if vals is None or not np.array_equal(x, x0):
         vals = problem.evaluate(x)[0]
     cons = vals[n_t:]
@@ -302,14 +241,12 @@ def solve_maxmin(problem: Rows, warm: KernelResult | None = None) -> KernelResul
     feasible point, and ``max-iterations`` otherwise.
     """
     n, n_t = problem.n, problem.n_terms
-    lb = problem.bounds()
     x = np.asarray(problem.x0, dtype=float).copy()
     if x.shape != (n,):
         raise ValueError("x0 must have shape (n,)")
 
     newton_total, loops = 0, 1
-    bounded = np.isfinite(lb)
-    vals = problem.evaluate(x)[0] if np.all(x[bounded] > lb[bounded]) else None
+    vals = problem.evaluate(x)[0] if np.all(x > 0.0) else None
     if vals is None or not _max_violation(vals, n_t) < 0.0:
         x, vals, ok, newton_total = _phase_one(x, problem, vals)
         loops += 1
@@ -327,22 +264,19 @@ def solve_maxmin(problem: Rows, warm: KernelResult | None = None) -> KernelResul
     z, lam = np.append(x, t0 - max(1.0, 0.1 * abs(t0))), None
     if warm is not None:
         pulled = z + _STEP_FRAC * (np.append(warm.x, warm.value) - z)
-        if (np.all(pulled[:n][bounded] > lb[bounded])
+        if (np.all(pulled[:n] > 0.0)
                 and np.all(sign * problem.evaluate(pulled[:n])[0] + coef * pulled[n] < 0.0)):
             mult = warm.multipliers
-            z, lam = pulled, np.concatenate(
-                [mult["terms"], mult["constraints"], mult["bounds"][bounded]])
+            z, lam = pulled, np.concatenate([mult["terms"], mult["constraints"], mult["bounds"]])
     z, lam, newton, done, vals, jac = _primal_dual(
         problem, z, lam, (slice(None), sign, coef), -1.0)
     newton_total += newton
 
     x_star = z[:n]
     viol = max(_max_violation(vals, n_t), 0.0)
-    lam_rows = lam[:len(vals)]
-    lam_bounds = np.zeros(n)
-    lam_bounds[bounded] = lam[len(vals):]
+    lam_rows, lam_bounds = lam[:len(vals)], lam[len(vals):]
     multipliers = {"terms": lam_rows[:n_t], "constraints": lam_rows[n_t:], "bounds": lam_bounds}
-    kkt = _kkt_residual(vals, jac, n_t, lb, x_star, multipliers)
+    kkt = _kkt_residual(vals, jac, n_t, x_star, multipliers)
     # The residual is judged relative to the size of the terms it cancels;
     # in raw units a badly scaled problem leaves dual noise proportional to
     # the multiplier magnitudes even at an optimal point.
@@ -355,31 +289,24 @@ def solve_maxmin(problem: Rows, warm: KernelResult | None = None) -> KernelResul
         status=STATUS_CONVERGED if ok else STATUS_MAX_ITERATIONS, multipliers=multipliers)
 
 
-def kkt_residual(problem: Rows, x: np.ndarray, multipliers: dict) -> float:
+def _kkt_residual(vals: np.ndarray, jac: np.ndarray, n_t: int, x: np.ndarray,
+                  multipliers: dict) -> float:
     """
-    KKT residual of the epigraph problem at (x, t = min_i f_i(x)).
+    KKT residual of the epigraph problem at (x, t = min_i f_i(x)), from the
+    row values and Jacobian at x.
 
     Sums the stationarity norm with the absolute complementary-slackness
-    products for the term caps, the constraints, and the active lower
-    bounds.  Zero exactly at a KKT point.
+    products for the term caps, the constraints, and the bounds x >= 0.
+    Zero exactly at a KKT point.
     """
-    vals, jacobian, _ = problem.evaluate(x)
-    return _kkt_residual(vals, jacobian(), problem.n_terms, problem.bounds(), x, multipliers)
-
-
-def _kkt_residual(vals: np.ndarray, jac: np.ndarray, n_t: int, lb: np.ndarray,
-                  x: np.ndarray, multipliers: dict) -> float:
-    """kkt_residual from the row values and Jacobian at x."""
     lam_t = np.asarray(multipliers["terms"], dtype=float)
     lam_g = np.asarray(multipliers["constraints"], dtype=float)
     lam_b = np.asarray(multipliers["bounds"], dtype=float)
-    bounded = np.isfinite(lb)
     term_vals = vals[:n_t]
-    stat_x = lam_g @ jac[n_t:] - lam_t @ jac[:n_t]
-    stat_x[bounded] -= lam_b[bounded]
+    stat_x = lam_g @ jac[n_t:] - lam_t @ jac[:n_t] - lam_b
     comp = (np.sum(np.abs(lam_t * (np.min(term_vals) - term_vals)))
             + np.sum(np.abs(lam_g * vals[n_t:]))
-            + np.sum(np.abs(lam_b[bounded] * (lb[bounded] - x[bounded]))))
+            + np.sum(np.abs(lam_b * x)))
     stat_t = -1.0 + lam_t.sum()
     stationarity = float(np.sqrt(np.sum(stat_x * stat_x) + stat_t * stat_t))
     return stationarity + float(comp)

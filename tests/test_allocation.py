@@ -8,7 +8,6 @@ import pytest
 
 from duallink import (
     BlockageState,
-    MaxMinProblem,
     PowerAllocation,
     ScenarioParams,
     approx_sinrs,
@@ -29,6 +28,7 @@ from duallink import (
 from duallink import allocation
 from duallink.allocation import _build_subproblem, _coeffs, _objective_terms_np, _sca
 from duallink.link import decoding_forms
+from problems import MaxMinProblem
 from test_acceptance import _random_scenario
 from test_maxmin_rows import record_evaluations
 

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 
 from duallink import (
-    MaxMinProblem,
     ScenarioParams,
     capacity_allocation,
     sca_power_allocation,
     solve_maxmin,
 )
+from problems import MaxMinProblem
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 

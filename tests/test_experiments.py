@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -650,6 +651,24 @@ def test_cli_simulate_overwrites_a_longer_file(tmp_path, capsys):
     for out in (fresh, reused):
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
     assert reused.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "oracle", "simulate"])
+@pytest.mark.parametrize("text, where", [
+    pytest.param("d_br = 1e6\nd_ru = 1e6\nl_x = 1e-300\n", "scenario", id="gain-underflows"),
+    pytest.param("n_r = 1e12\nl_x = 1e300\n", "scenario", id="square-overflows"),
+    pytest.param("l_x = 1e140\naxis = n_ris\ngrid = 100, 1e40\n", "n_ris grid value 1e+40",
+                 id="grid-point-infinite"),
+])
+def test_cli_rejects_unusable_route_gains(tmp_path, capsys, command, text, where):
+    # Route gains the allocator cannot use fail at the config boundary: exit
+    # 2 and one error line, not a traceback at solve time or error rows.
+    cfg, out = write(tmp_path, "gains.cfg", text), str(tmp_path / "out.csv")
+    with pytest.raises(ConfigValidationError, match=f"^{re.escape(where)}: both route coefficients"):
+        load_config(cfg)
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
+    assert not os.path.exists(out)
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

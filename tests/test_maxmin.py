@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from duallink import MaxMinProblem, kkt_residual, solve_maxmin
+from duallink import solve_maxmin
 from duallink.maxmin import KKT_TOL, STATUS_CONVERGED, STATUS_INFEASIBLE_START
+from problems import MaxMinProblem, kkt_residual
 
 
 def affine_term(coeffs, offset=0.0):
@@ -107,11 +108,15 @@ def test_deterministic():
     assert a.newton_iters == b.newton_iters
 
 
-def test_phase_one_recovers_from_infeasible_start():
+@pytest.mark.parametrize("x0", [[5.0, 5.0], [0.0, -1.0]], ids=["over-budget", "outside-bounds"])
+def test_phase_one_recovers_from_infeasible_start(x0):
+    # [5, 5] violates the budget; [0, -1] lies on and outside x >= 0, so
+    # phase I first moves it inside the bounds.
     prob = symmetric_budget_problem()
-    prob.x0 = np.array([5.0, 5.0])  # violates the budget
+    prob.x0 = np.array(x0)
     res = solve_maxmin(prob)
     assert res.status == STATUS_CONVERGED
+    assert res.outer_iters == 2  # phase I, then the main loop
     np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-6)
 
 
@@ -125,19 +130,6 @@ def test_infeasible_problem_reports_status():
     )
     res = solve_maxmin(prob)
     assert res.status == STATUS_INFEASIBLE_START
-
-
-def test_free_variables_via_lower_bounds():
-    # max min{x1} s.t. x1 <= -3, x1 free: optimum -3.
-    prob = MaxMinProblem(
-        n=1,
-        terms=[affine_term([1])],
-        constraints=[affine_constraint([1], 3.0)],
-        x0=np.array([-5.0]),
-        lower_bounds=np.array([-np.inf]),
-    )
-    res = solve_maxmin(prob)
-    assert res.value == pytest.approx(-3.0, abs=1e-6)
 
 
 def test_kkt_residual_at_analytic_optimum():

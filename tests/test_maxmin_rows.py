@@ -6,8 +6,9 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from duallink import MaxMinProblem, maxmin, solve_maxmin
+from duallink import maxmin, solve_maxmin
 from duallink.maxmin import STATUS_CONVERGED
+from problems import MaxMinProblem
 
 
 def ball(x):

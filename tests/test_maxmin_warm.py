@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from duallink import MaxMinProblem, ScenarioParams, kkt_residual, solve_maxmin
+from duallink import ScenarioParams, solve_maxmin
 from duallink import allocation
 from duallink.maxmin import KKT_TOL, STATUS_CONVERGED, _phase_one
+from problems import MaxMinProblem, kkt_residual
 from test_acceptance import _random_scenario
 
 
