@@ -21,6 +21,7 @@ import numpy as np
 
 from .allocation import brute_force_oracle, sca_power_allocation
 from .experiments import (
+    SOLVER_FAILURES,
     SWEEP_OUT,
     ConfigParseError,
     ConfigValidationError,
@@ -135,7 +136,7 @@ def _run_simulate(config) -> None:
     created = not os.path.exists(config.out)
     fh = open(os.open(config.out, os.O_WRONLY | os.O_CREAT, 0o666), "wb")
     try:
-        rate_h, rate_l, _ = _operating_rates(scenario, scheme)
+        rate_h, rate_l, _, stable = _operating_rates(scenario, scheme)
         trace = run_simulation(scenario, (rate_h, rate_l), config.horizon, config.seed)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()
@@ -151,7 +152,7 @@ def _run_simulate(config) -> None:
                        scenario.slot_duration)
     print(f"wrote {len(trace)} slots to {config.out}")
     print(f"mean queues: hc={stats.mean_q_h:.3f} lc={stats.mean_q_l:.3f} "
-          f"stable={stats.stable}")
+          f"stable={stable}")
     if stats.tau_h_slots is not None:
         print(f"hc delay: {stats.tau_h_slots:.4f} slots")
     if stats.tau_l_slots is not None:
@@ -209,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
             _print_oracle(config, args.grid_n)
         elif args.command == "simulate":
             _run_simulate(config)
-    except (OSError, ConfigParseError, ConfigValidationError) as exc:
+    except (OSError, ConfigParseError, ConfigValidationError, *SOLVER_FAILURES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

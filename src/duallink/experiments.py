@@ -30,6 +30,14 @@ from .queuesim import MIN_DELAY_HORIZON, mean_delay, run_simulation
 _AXIS_FIELDS = {"alpha": "alpha", "q_d": "q_d", "n_ris": "n_r", "arrival": "arrival_rate"}
 _SCHEMES = ("mcsc", "oma", "both")
 _METRICS = ("se", "delay", "both")
+# Largest service factor slot_duration * bandwidth / packet_size (packets per
+# slot at 1 bit/s/Hz).  The kernel squares each objective row's slope, weight
+# * (1 - q) * factor, which overflows on the default scenario from a factor
+# of about 1e151; the limit leaves room for capacity weights 1/alpha to 1e30.
+_MAX_SERVICE_FACTOR = 1e120
+# What the allocator and the queue simulator raise on a scenario they cannot
+# solve: a sweep writes an error row, the command line an error line.
+SOLVER_FAILURES = (ValueError, RuntimeError, ArithmeticError)
 # Where run_sweep writes when the config names no output file.
 SWEEP_OUT = "sweep.csv"
 
@@ -70,6 +78,11 @@ class ExperimentConfig:
             raise ConfigValidationError("sweep grid must be strictly increasing")
         if self.axis == "n_ris" and not all(float(v).is_integer() for v in self.grid):
             raise ConfigValidationError("n_ris grid values must be integers")
+        factor = self.scenario.slot_duration * self.scenario.bandwidth / self.scenario.packet_size
+        if not factor <= _MAX_SERVICE_FACTOR:
+            raise ConfigValidationError(
+                f"slot_duration * bandwidth / packet_size must be at most "
+                f"{_MAX_SERVICE_FACTOR:g}, got {factor:g}")
         _check_routes(self.scenario, "scenario")
         for value in self.grid:
             _check_routes(_point_scenario(self, value), f"{self.axis} grid value {value!r}")
@@ -235,13 +248,25 @@ def _capacity_point(
     )
 
 
-def _operating_rates(scenario: ScenarioParams, scheme: str) -> tuple[float, float, int]:
-    """Stream rates [bit/s] at the configured traffic, for queue simulation."""
+def _operating_rates(scenario: ScenarioParams, scheme: str) -> tuple[float, float, int, bool]:
+    """
+    Stream rates [bit/s] at the configured traffic, for queue simulation, the
+    allocator's iterations, and whether both queues are stable at these rates.
+
+    Each queue is a Lindley recursion whose mean increment per slot is minus
+    its class's gap at these rates, so it is stable exactly when that gap is
+    positive (Loynes 1962).  A class without arrivals never makes it unstable.
+    """
     if scheme == "mcsc":
         res = sca_power_allocation(scenario)
-        return res.rate_h, res.rate_l, res.iterations
-    res = oma_optimize(scenario)
-    return res.rate_h, res.rate_l, 0
+        iterations = res.iterations
+    else:
+        res = oma_optimize(scenario)
+        iterations = 0
+    demand_h = scenario.alpha * scenario.arrival_rate
+    demand_l = (1.0 - scenario.alpha) * scenario.arrival_rate
+    stable = (demand_h <= 0.0 or res.gap_h > 0.0) and (demand_l <= 0.0 or res.gap_l > 0.0)
+    return res.rate_h, res.rate_l, iterations, stable
 
 
 def _point_scenario(config: ExperimentConfig, value: float) -> ScenarioParams:
@@ -278,7 +303,7 @@ def _sweep_point(args: tuple[ExperimentConfig, int, float]) -> list[SweepRow]:
                 cells.update(se_h=se_h, se_l=se_l, se_sum=se_h + se_l, a_star=a_star,
                              iterations=iterations)
             if config.metrics in ("delay", "both"):
-                rate_h, rate_l, sim_iters = _operating_rates(scenario, scheme)
+                rate_h, rate_l, sim_iters, stable = _operating_rates(scenario, scheme)
                 cells.setdefault("iterations", sim_iters)
                 trace = run_simulation(
                     scenario, (rate_h, rate_l), config.horizon, config.seed + index
@@ -287,9 +312,9 @@ def _sweep_point(args: tuple[ExperimentConfig, int, float]) -> list[SweepRow]:
                     trace, scenario.alpha, scenario.arrival_rate, scenario.slot_duration
                 )
                 cells.update(tau_h_slots=stats.tau_h_slots, tau_l_slots=stats.tau_l_slots,
-                             stable=stats.stable)
+                             stable=stable)
             rows.append(SweepRow(value, scheme, **cells))
-        except (ValueError, RuntimeError, ArithmeticError) as exc:  # the solver's failures
+        except SOLVER_FAILURES as exc:
             rows.append(SweepRow(value, scheme, status=f"error:{type(exc).__name__}"))
     return rows
 

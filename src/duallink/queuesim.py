@@ -18,7 +18,7 @@ import numpy as np
 
 from .link import ScenarioParams, sample_blockage_batch
 
-# Shortest trace whose delay estimate and stability verdict are reported.
+# Shortest trace whose delay estimate is reported.
 MIN_DELAY_HORIZON = 1000
 # Slots per block of the queue recursion.  Whole columns as Python lists
 # would add about 7 MB per class to a 100,000-slot run.
@@ -55,7 +55,6 @@ class DelayStats:
     tau_total_slots: float | None
     mean_q_h: float
     mean_q_l: float
-    stable: bool
 
 
 def run_simulation(
@@ -77,7 +76,7 @@ def run_simulation(
     rng = np.random.default_rng(seed)
     totals = rng.poisson(scenario.arrival_rate, slots)
     a_h = rng.binomial(totals, scenario.alpha)
-    a_l = totals - a_h
+    a_l = np.subtract(totals, a_h, out=totals)
     beta_d, beta_r = sample_blockage_batch(scenario.q_d, scenario.q_r, slots, rng)
 
     per_slot = scenario.slot_duration / scenario.packet_size
@@ -117,33 +116,6 @@ def _levels(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     return q
 
 
-def _diverging(q: np.ndarray, warm: int) -> bool:
-    """
-    Trend test on the second half of a queue trajectory.
-
-    The second half is split into ten blocks; a positive regression slope on
-    the block means beyond three standard errors, together with a
-    second-half mean materially above the mean of the first half past its
-    first ``warm`` slots, flags divergence.  Stable near-critical queues
-    wander widely, so both conditions are required.  Needs warm < len(q) // 2
-    and at least ten slots in the second half, which mean_delay's
-    MIN_DELAY_HORIZON floor and warm = len(q) // 10 guarantee.
-    """
-    mid = len(q) // 2
-    mean1 = float(q[warm:mid].mean())
-    mean2 = float(q[mid:].mean())
-    bm = np.array([b.mean() for b in np.array_split(q[mid:], 10)])
-    x = np.arange(len(bm), dtype=float)
-    xc = x - x.mean()
-    denom = float(np.sum(xc * xc))
-    slope = float(np.sum(xc * (bm - bm.mean())) / denom)
-    resid = bm - bm.mean() - slope * xc
-    se = float(np.sqrt(np.sum(resid * resid) / (len(bm) - 2) / denom))
-    significant = slope > 3.0 * se
-    grew = mean2 > mean1 + max(0.05 * mean1, 1.0)
-    return significant and grew
-
-
 def mean_delay(
     trace: QueueTrace,
     alpha: float,
@@ -171,8 +143,6 @@ def mean_delay(
     tau_h = mean_q_h / rate_h if rate_h > 0.0 else None
     tau_l = mean_q_l / rate_l if rate_l > 0.0 else None
     tau_total = (mean_q_h + mean_q_l) / arrival if arrival > 0.0 else None
-
-    stable = not (_diverging(trace.q_h, warm) or _diverging(trace.q_l, warm))
     return DelayStats(
         tau_h_slots=tau_h,
         tau_l_slots=tau_l,
@@ -181,5 +151,4 @@ def mean_delay(
         tau_total_slots=tau_total,
         mean_q_h=mean_q_h,
         mean_q_l=mean_q_l,
-        stable=stable,
     )

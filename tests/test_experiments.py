@@ -26,6 +26,7 @@ from duallink import (
 from duallink.cli import _TRACE_ROWS_PER_WRITE, _write_trace, main
 from duallink import experiments
 from duallink.experiments import CSV_HEADER, default_config, write_rows
+from duallink.oma import oma_optimize
 
 GOLDEN_SWEEP = os.path.join(os.path.dirname(__file__), "data", "sweep_default.csv")
 SE_SUM_LC_ONLY = 9.306028068406784
@@ -400,6 +401,47 @@ def test_delay_metrics_rows(tmp_path):
     assert back == rows
 
 
+@pytest.mark.parametrize("changes, verdicts", [
+    pytest.param({}, (True, False), id="default"),  # time sharing cannot carry 700
+    pytest.param({"q_d": 1.0, "q_r": 1.0}, (False, False), id="no-service"),
+    pytest.param({"arrival_rate": 5000.0}, (False, False), id="overload"),
+    pytest.param({"alpha": 0.0}, (True, True), id="no-hc"),
+    pytest.param({"alpha": 1.0, "arrival_rate": 100.0}, (True, True), id="no-lc"),
+    pytest.param({"alpha": 1.0, "arrival_rate": 0.0}, (True, True), id="no-arrivals"),
+])
+def test_operating_rates_stable_is_the_drift_sign(changes, verdicts):
+    # Each queue is stable exactly when its mean increment per slot, the
+    # class's arrivals less the service its route lets through, is negative.
+    # A class without arrivals has no rate at alpha = 0 or 1, so a zero drift,
+    # and never makes the verdict false.
+    sc = replace(ScenarioParams(), **changes)
+    per_slot = sc.slot_duration / sc.packet_size
+    for scheme, verdict in zip(("mcsc", "oma"), verdicts):
+        rate_h, rate_l, _, stable = experiments._operating_rates(sc, scheme)
+        drifts = [(sc.alpha * sc.arrival_rate, (1 - sc.q_r) * per_slot * rate_h),
+                  ((1 - sc.alpha) * sc.arrival_rate, (1 - sc.q_d) * per_slot * rate_l)]
+        assert stable is verdict, scheme
+        assert stable == all(demand - served < 0 for demand, served in drifts if demand > 0)
+        if sc.alpha in (0.0, 1.0):
+            assert min(rate_h, rate_l) == 0.0  # the drift rule alone would say unstable
+
+
+def test_delay_sweep_stable_follows_the_gap(tmp_path):
+    # The seed-4 sweep over alpha = 0.01, 0.03, 0.05, ... simulates its
+    # 0.05/oma point with seed 4 + 2.  Both gaps are positive there (weighted
+    # gap +0.325), so the point is stable, although the queue's trend over
+    # 100,000 slots looks like growth.
+    out = str(tmp_path / "d.csv")
+    cfg = load_config(write(
+        tmp_path, "exp.cfg",
+        f"grid = 0.05\nscheme = oma\nmetrics = delay\nseed = 6\nout = {out}\n",
+    ))
+    (row,) = run_sweep(cfg)
+    assert (row.tau_h_slots, row.tau_l_slots) == (1.393954959489054, 70.52963858811029)
+    assert oma_optimize(cfg.scenario, 0.05).objective == pytest.approx(0.325, abs=1e-3)
+    assert row.stable is True
+
+
 def test_sweep_reflector_size_axis(tmp_path):
     # A larger reflector narrows the gap to the no-HC operating point.
     out = str(tmp_path / "n.csv")
@@ -614,8 +656,7 @@ def test_cli_simulate_leaves_no_partial_trace(tmp_path, monkeypatch):
 
     monkeypatch.setattr("duallink.cli._operating_rates", fail)
     out = tmp_path / "trace.csv"
-    with pytest.raises(RuntimeError):
-        main(["simulate", "--out", str(out)])
+    assert main(["simulate", "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -626,8 +667,7 @@ def test_cli_simulate_failure_keeps_an_earlier_file(tmp_path, monkeypatch):
     monkeypatch.setattr("duallink.cli._operating_rates", fail)
     out = tmp_path / "trace.csv"
     out.write_bytes(b"an earlier trace\n")
-    with pytest.raises(RuntimeError):
-        main(["simulate", "--out", str(out)])
+    assert main(["simulate", "--out", str(out)]) == 2
     assert out.read_bytes() == b"an earlier trace\n"
 
 
@@ -640,8 +680,7 @@ def test_cli_simulate_failure_removes_no_device(monkeypatch):
 
     monkeypatch.setattr("duallink.cli._operating_rates", fail)
     monkeypatch.setattr("duallink.cli.os.remove", never)
-    with pytest.raises(RuntimeError):
-        main(["simulate", "--out", os.devnull])
+    assert main(["simulate", "--out", os.devnull]) == 2
 
 
 def test_cli_simulate_overwrites_a_longer_file(tmp_path, capsys):
@@ -668,6 +707,25 @@ def test_cli_rejects_unusable_route_gains(tmp_path, capsys, command, text, where
         load_config(cfg)
     assert main([command, "--config", cfg, "--out", out]) == 2
     assert capsys.readouterr().err.startswith(f"error: {where}: ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("text, command, error", [
+    *[pytest.param("noise_psd = -20\n", command, "inner solve lost feasibility",
+                   id=f"low-snr-{command}") for command in ("solve", "simulate", "oracle")],
+    pytest.param("slot_duration = 1e300\n", "solve",
+                 "slot_duration * bandwidth / packet_size must be at most 1e+120",
+                 id="long-slot-solve"),
+])
+def test_cli_reports_solver_failures(tmp_path, capsys, text, command, error):
+    # What a sweep writes as error rows, the other commands report as one
+    # error line and exit 2: no traceback, and no warning (the test suite
+    # turns warnings into errors), nor a NaN objective.
+    cfg, out = write(tmp_path, "bad.cfg", text), str(tmp_path / "out.csv")
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}") and captured.err.count("\n") == 1
     assert not os.path.exists(out)
 
 

@@ -264,13 +264,15 @@ def _geometry_by_bisection(layouts):
 def test_geometry_closed_form_matches_bisection():
     # The default layout, then 10,000 random ones: n_b from 2 to 1024 and
     # distances log-uniform over 0.1-100 m, kept when they form a triangle.
+    # About one draw in twelve does, so the draws come in batches.
     rng = np.random.default_rng(19)
     layouts = [(64, 10.0, 8.7, 2.0)]
     while len(layouts) < 10001:
-        n_b = int(rng.integers(2, 1025))
-        d_bu, d_br, d_ru = (10.0 ** rng.uniform(-1.0, 2.0, 3)).tolist()
-        if abs(d_br - d_ru) < d_bu < d_br + d_ru:
-            layouts.append((n_b, d_bu, d_br, d_ru))
+        n_b = rng.integers(2, 1025, 2**16)
+        d_bu, d_br, d_ru = 10.0 ** rng.uniform(-1.0, 2.0, (3, 2**16))
+        keep = (np.abs(d_br - d_ru) < d_bu) & (d_bu < d_br + d_ru)
+        layouts += zip(*(col[keep].tolist() for col in (n_b, d_bu, d_br, d_ru)))
+    layouts = layouts[:10001]
     closed = fallback = 0
     for (n_b, d_bu, d_br, d_ru), want in zip(layouts, _geometry_by_bisection(layouts)):
         got = default_geometry(n_b, d_bu, d_br, d_ru)

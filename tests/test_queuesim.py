@@ -65,9 +65,6 @@ def test_simulation_no_arrivals(scenario):
 
 def test_simulation_zero_rates_diverges(scenario):
     trace = run_simulation(scenario, (0.0, 0.0), 5000, seed=4)
-    stats = mean_delay(trace, scenario.alpha, scenario.arrival_rate,
-                       scenario.slot_duration)
-    assert not stats.stable
     assert np.all(np.diff(trace.q_l) >= 0)  # no service, never drains
 
 
@@ -111,9 +108,6 @@ def test_stability_with_service_margin(scenario):
         first = q[warm:mid].mean()
         second = q[mid:].mean()
         assert second <= first + max(0.05 * first, 1.0)
-    stats = mean_delay(trace, scenario.alpha, scenario.arrival_rate,
-                       scenario.slot_duration)
-    assert stats.stable
 
 
 def _service_rates(scenario, margin_h, margin_l):
@@ -184,7 +178,6 @@ def test_mean_delay_constant_queue():
     stats = mean_delay(trace, alpha=0.5, arrival=10.0, slot_duration=0.1)
     assert stats.tau_h_slots == pytest.approx(2.0)
     assert stats.tau_h_seconds == pytest.approx(0.2)
-    assert stats.stable
 
 
 def test_mean_delay_absent_sides():
@@ -213,8 +206,7 @@ def test_mean_delay_matches_md1_theory():
 
 @pytest.mark.parametrize("slots", [1, 999])
 def test_mean_delay_rejects_short_trace(scenario, slots):
-    # Too short to judge: a 1-slot trace whose queues only grow used to
-    # come back stable, with an empty warm-up mean.
+    # Too short to judge: a 1-slot trace would give an empty warm-up mean.
     trace = run_simulation(scenario, (0.0, 0.0), slots, seed=1)
     with pytest.raises(ValueError, match="fewer than the 1000"):
         mean_delay(trace, scenario.alpha, scenario.arrival_rate, scenario.slot_duration)
