@@ -35,6 +35,9 @@ _METRICS = ("se", "delay", "both")
 # * (1 - q) * factor, which overflows on the default scenario from a factor
 # of about 1e151; the limit leaves room for capacity weights 1/alpha to 1e30.
 _MAX_SERVICE_FACTOR = 1e120
+# Route SNRs w p_max / N [dB] from which the SCA's inner solves start strictly
+# feasible, as the kernel needs: measured by a seeded fuzz, see ROADMAP item 2.
+_ROUTE_SNR_DB = (-50.0, 90.0)
 # What the allocator and the queue simulator raise on a scenario they cannot
 # solve: a sweep writes an error row, the command line an error line.
 SOLVER_FAILURES = (ValueError, RuntimeError, ArithmeticError)
@@ -279,15 +282,23 @@ def _point_scenario(config: ExperimentConfig, value: float) -> ScenarioParams:
 
 
 def _check_routes(scenario: ScenarioParams, where: str) -> None:
-    """Reject a scenario whose route coefficients the allocator cannot use."""
+    """Reject a scenario whose route coefficients or SNRs the allocator cannot use."""
     try:
-        w_d, w_r = route_coefficients(link_gains(scenario), scenario.n_b, scenario.n_r)
+        gains = link_gains(scenario)
+        w_d, w_r = route_coefficients(gains, scenario.n_b, scenario.n_r)
         ok = 0.0 < w_d < math.inf and 0.0 < w_r < math.inf
     except (ValueError, OverflowError):  # a gain is 0 or inf, or its square overflows
         ok = False
     if not ok:
         raise ConfigValidationError(f"{where}: both route coefficients (received power "
                                     "per transmitted watt) must be positive and finite")
+    lo, hi = _ROUTE_SNR_DB
+    snr_d, snr_r = (10.0 * (math.log10(w) + math.log10(scenario.p_max)
+                            - math.log10(gains.noise_w)) for w in (w_d, w_r))
+    if not (lo <= snr_d <= hi and lo <= snr_r <= hi):
+        raise ConfigValidationError(
+            f"{where}: route SNRs must lie in [{lo:g}, {hi:g}] dB, got {snr_d:.1f} dB "
+            f"direct and {snr_r:.1f} dB reflected")
 
 
 def _sweep_point(args: tuple[ExperimentConfig, int, float]) -> list[SweepRow]:

@@ -28,6 +28,10 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 
 # -174 dBm/Hz thermal-noise floor
 _DEFAULT_NOISE_PSD = 10.0 ** (-174.0 / 10.0) * 1e-3
+# Traffic the kernel's Newton system holds: the capacity form's weight 1/alpha
+# overflows it at alpha = 1e-200, the gap form from arrival rates near 1e150.
+_MIN_ALPHA = 1e-30
+_MAX_ARRIVAL_RATE = 1e120
 
 
 def default_geometry(n_b: int, d_bu: float, d_br: float, d_ru: float):
@@ -110,10 +114,11 @@ class ScenarioParams:
         q_d, q_r: blockage probabilities of the direct / reflected route.
         phi_bu, phi_br: BS-panel departure angles toward user / reflector [rad].
         phi_rb, phi_ru: reflector-panel angles toward BS / user [rad].
-        alpha: fraction of traffic classified high-criticality.
+        alpha: fraction of traffic classified high-criticality: 0, or at
+            least 1e-30.
         packet_size: packet size [bit].
         slot_duration: slot length [s].
-        arrival_rate: mean packet arrivals per slot.
+        arrival_rate: mean packet arrivals per slot, at most 1e120.
 
     Angles and element dimensions left as None are derived in __post_init__
     (see default_geometry).  The reflected route is assumed at least as
@@ -156,10 +161,10 @@ class ScenarioParams:
             raise ValueError("k_a must be nonnegative and finite")
         if not (0.0 <= self.q_r <= self.q_d <= 1.0):
             raise ValueError("blockage probabilities need 0 <= q_r <= q_d <= 1")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if not 0.0 <= self.arrival_rate < math.inf:
-            raise ValueError("arrival_rate must be nonnegative and finite")
+        if not (self.alpha == 0.0 or _MIN_ALPHA <= self.alpha <= 1.0):
+            raise ValueError(f"alpha must be 0 or lie in [{_MIN_ALPHA:g}, 1]")
+        if not 0.0 <= self.arrival_rate <= _MAX_ARRIVAL_RATE:
+            raise ValueError(f"arrival_rate must lie in [0, {_MAX_ARRIVAL_RATE:g}]")
         half_wl = SPEED_OF_LIGHT / (2.0 * self.f)
         if self.l_x is None:
             object.__setattr__(self, "l_x", half_wl)

@@ -13,7 +13,9 @@ constraints g_j.  A problem has ``n``, ``n_terms``, ``x0`` and
 builds their Jacobian (one row per term or constraint), and the weighted row
 Hessian w -> sum_i w_i Hessian(row_i).  The Jacobian is built only where a
 step needs it, so each point costs one evaluation.  Every variable is
-bounded below by zero.  ``solve_maxmin(problem, warm)`` starts from
+bounded below by zero.  The kernel has no phase I: x0 must be strictly
+feasible, x0 > 0 with every constraint negative, or the solve reports
+``infeasible-start``.  ``solve_maxmin(problem, warm)`` starts from
 ``warm``, the result of a nearby problem with the same rows, when given.
 """
 
@@ -63,7 +65,7 @@ class KernelResult:
     max_violation: float
     kkt_residual: float
     newton_iters: int
-    outer_iters: int  # primal-dual loops run, phase I included
+    outer_iters: int  # primal-dual loops run: always 1
     status: str
     multipliers: dict = field(default_factory=dict)
 
@@ -92,15 +94,13 @@ def _solve_newton_system(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return step / d
 
 
-def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tuple,
-                 direction: float, stop: Callable[[np.ndarray], bool] | None = None
+def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None
                  ) -> tuple[np.ndarray, np.ndarray, int, bool, np.ndarray, np.ndarray]:
     """
     Primal-dual interior-point loop (Boyd & Vandenberghe, Convex
-    Optimization, §11.7) minimising direction * e over z = [x, e] subject to
-    F(z) < 0.  F stacks sign * row(x) + coef * e for the problem rows sel,
-    where rows = (sel, sign, coef) and e is the epigraph variable (main
-    solve) or the slack (phase I), then -x for the bounds x >= 0.
+    Optimization, §11.7) maximising e over a strictly feasible start
+    z = [x, e] subject to F(z) < 0.  F stacks e - f_i(x) for the terms,
+    g_j(x) for the constraints, then -x for the bounds x >= 0.
 
     lam are F's multipliers; None starts them at the least-norm multipliers
     that cancel the objective gradient, DF' lam = -c, floored at 1 / -F.  Each
@@ -115,24 +115,27 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
     not depend on how the rows are scaled; on badly scaled rows the residual
     norm alone admits only tiny steps.  Returns (z, lam, Newton steps,
     whether eta and the dual residual cleared their tolerances, the row
-    values and Jacobian at z), stopping early once ``stop(row values)`` holds.
+    values and Jacobian at z).
     """
-    sel, sign, coef = rows
-    n = len(z) - 1
-    k = len(sign)
+    n, n_t = len(z) - 1, problem.n_terms
+    evaluation = problem.evaluate(z[:n])
+    k = len(evaluation[0])
     m = k + n
+    sign = np.ones(k)
+    sign[:n_t] = -1.0
     sign_col = sign[:, None]
-    # DF's fixed entries: the e column of the row block and the bound rows.
+    # DF's fixed entries: the e column of the term rows and the bound rows.
     df_fixed = np.zeros((m, n + 1))
-    df_fixed[:k, n] = coef
+    df_fixed[:n_t, n] = 1.0
     df_fixed[k:, :n] = -np.eye(n)
     c = np.zeros(n + 1)
-    c[n] = direction
+    c[n] = -1.0
 
     def constraints(point: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """F at point from the problem's row values there."""
         f = np.empty(m)
-        f[:k] = sign * vals[sel] + coef * point[n]
+        f[:k] = sign * vals
+        f[:n_t] += point[n]
         f[k:] = -point[:n]
         return f
 
@@ -140,19 +143,17 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
         """The rows' Jacobian in an evaluation, and DF built from it."""
         jac = evaluation[1]()
         df = df_fixed.copy()
-        np.multiply(sign_col, jac[sel], out=df[:k, :n])
+        np.multiply(sign_col, jac, out=df[:k, :n])
         return jac, df
 
     def residual(r_dual, f, lam, t):
         """Norm of the modified KKT residual: dual, then centrality."""
         return math.hypot(_norm(r_dual), _norm(lam * f + 1.0 / t))
 
-    def merit(point, f, t):  # c @ point is direction * e
-        return direction * float(point[n]) - np.log(-f).sum() / t
+    def merit(point, f, t):  # c @ point is -e
+        return -float(point[n]) - np.log(-f).sum() / t
 
-    evaluation = problem.evaluate(z[:n])
     f, (jac, df) = constraints(z, evaluation[0]), jacobian(evaluation)
-    weights = np.zeros(len(evaluation[0]))  # the row Hessians' weights, zero off sel
     if lam is None:
         lam = np.maximum(df @ _solve_newton_system(df.T @ df, c), 1.0 / -f)
     steps = 0
@@ -163,18 +164,16 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
         # The dual residual is judged relative to the size of the terms it
         # sums, as the KKT test is; in absolute units a badly scaled problem
         # can keep it above _FEAS_TOL for hundreds of steps after eta clears.
-        if (stop is not None and stop(vals)) or (
-                eta <= _ETA_TOL
-                and _norm(r_dual) <= _FEAS_TOL * (1.0 + lam @ np.linalg.norm(df, axis=1))):
+        if eta <= _ETA_TOL and _norm(r_dual) <= _FEAS_TOL * (
+                1.0 + lam @ np.linalg.norm(df, axis=1)):
             return z, lam, steps, True, vals, jac
         if steps == _MAX_NEWTON:
             return z, lam, steps, False, vals, jac
         steps += 1
         t = _MU * m / eta
         neg_f = -f
-        weights[sel] = sign * lam[:k]
         hess = df.T @ ((lam / neg_f)[:, None] * df)
-        hess[:n, :n] += weighted_hessian(weights)
+        hess[:n, :n] += weighted_hessian(sign * lam[:k])
         grad = c + df.T @ (1.0 / (t * neg_f))  # the barrier merit's gradient
         dz = _solve_newton_system(hess, grad)
         dlam = (1.0 / t + lam * (df @ dz)) / neg_f - lam
@@ -200,80 +199,51 @@ def _primal_dual(problem: Rows, z: np.ndarray, lam: np.ndarray | None, rows: tup
         z, lam, f, evaluation, jac, df = cand, lam_c, f_c, evaluation_c, jac_c, df_c
 
 
-def _max_violation(vals: np.ndarray, n_terms: int) -> float:
-    return float(max(vals[n_terms:], default=-1.0))
-
-
-def _phase_one(x: np.ndarray, problem: Rows, vals: np.ndarray | None = None
-               ) -> tuple[np.ndarray, np.ndarray, bool, int]:
-    """
-    Minimise the maximum constraint violation to recover a strictly
-    feasible point.  Works on w = [x, s] with constraints g_j(x) - s <= 0
-    plus the bounds x >= 0, from x moved inside them; stops as soon
-    as s can be pushed negative.  ``vals``, the row values at x, save an
-    evaluation unless x moved.  Returns the point, its row values, whether
-    it is strictly feasible, and the Newton steps taken.
-    """
-    n, n_t = problem.n, problem.n_terms
-    x0, x = x, np.maximum(x, 1e-9)
-    if vals is None or not np.array_equal(x, x0):
-        vals = problem.evaluate(x)[0]
-    cons = vals[n_t:]
-    rows = (slice(n_t, None), np.ones(cons.size), -np.ones(cons.size))
-    s0 = max(float(max(cons, default=-1.0)), 0.0) + 1.0
-    w, _, newton, _, vals, _ = _primal_dual(  # minimise s
-        problem, np.append(x, s0), None, rows, 1.0,
-        stop=lambda vals: _max_violation(vals, n_t) < -1e-12)
-    return w[:n], vals, _max_violation(vals, n_t) < 0.0, newton
+def _strictly_feasible(vals: np.ndarray, n_terms: int, e: float = -math.inf) -> bool:
+    """Whether every constraint row is negative and every term exceeds e."""
+    return bool(np.all(vals[n_terms:] < 0.0) and np.all(vals[:n_terms] > e))
 
 
 def solve_maxmin(problem: Rows, warm: KernelResult | None = None) -> KernelResult:
     """
     Maximise the minimum of the objective terms subject to the constraints.
 
-    Runs the primal-dual loop on the epigraph form, from ``warm`` when
-    given, the result of a nearby problem with the same rows: its point and
-    multipliers, the point pulled toward x0 by the fraction-to-boundary
-    margin, unless that point is not strictly feasible here.  Returns the
-    last iterate with KKT diagnostics; status is ``converged`` when the
-    surrogate gap, the KKT residual, and feasibility all clear their
-    tolerances, ``infeasible-start`` when phase I cannot find a strictly
-    feasible point, and ``max-iterations`` otherwise.
+    Runs the primal-dual loop on the epigraph form from x0, which must be
+    strictly feasible, or from ``warm`` when given, the result of a nearby
+    problem with the same rows: its point and multipliers, the point pulled
+    toward x0 by the fraction-to-boundary margin, unless that point is not
+    strictly feasible here.  Returns the last iterate with KKT diagnostics;
+    status is ``converged`` when the surrogate gap, the KKT residual, and
+    feasibility all clear their tolerances, and ``max-iterations``
+    otherwise.  An x0 that is not strictly feasible returns at once with
+    status ``infeasible-start`` and no Newton step.  An x0 outside x > 0 is
+    not evaluated: the result's value is NaN and its violation the largest
+    -x0_i.
     """
     n, n_t = problem.n, problem.n_terms
     x = np.asarray(problem.x0, dtype=float).copy()
     if x.shape != (n,):
         raise ValueError("x0 must have shape (n,)")
 
-    newton_total, loops = 0, 1
     vals = problem.evaluate(x)[0] if np.all(x > 0.0) else None
-    if vals is None or not _max_violation(vals, n_t) < 0.0:
-        x, vals, ok, newton_total = _phase_one(x, problem, vals)
-        loops += 1
-        if not ok:
-            return KernelResult(
-                x=x, value=float(min(vals[:n_t])),
-                max_violation=max(_max_violation(vals, n_t), 0.0), kkt_residual=np.inf,
-                newton_iters=newton_total, outer_iters=1, status=STATUS_INFEASIBLE_START)
+    if vals is None or not _strictly_feasible(vals, n_t):
+        return KernelResult(
+            x=x, value=math.nan if vals is None else float(min(vals[:n_t])),
+            max_violation=float(np.max(-x if vals is None else vals[n_t:], initial=0.0)),
+            kkt_residual=math.inf, newton_iters=0, outer_iters=1, status=STATUS_INFEASIBLE_START)
 
-    m_c = len(vals) - n_t
-    # Terms: e - f_i(x) < 0; constraints: g_j(x) < 0.
-    sign = np.concatenate([-np.ones(n_t), np.ones(m_c)])
-    coef = np.concatenate([np.ones(n_t), np.zeros(m_c)])
     t0 = float(min(vals[:n_t]))
     z, lam = np.append(x, t0 - max(1.0, 0.1 * abs(t0))), None
     if warm is not None:
         pulled = z + _STEP_FRAC * (np.append(warm.x, warm.value) - z)
         if (np.all(pulled[:n] > 0.0)
-                and np.all(sign * problem.evaluate(pulled[:n])[0] + coef * pulled[n] < 0.0)):
+                and _strictly_feasible(problem.evaluate(pulled[:n])[0], n_t, pulled[n])):
             mult = warm.multipliers
             z, lam = pulled, np.concatenate([mult["terms"], mult["constraints"], mult["bounds"]])
-    z, lam, newton, done, vals, jac = _primal_dual(
-        problem, z, lam, (slice(None), sign, coef), -1.0)
-    newton_total += newton
+    z, lam, newton, done, vals, jac = _primal_dual(problem, z, lam)
 
     x_star = z[:n]
-    viol = max(_max_violation(vals, n_t), 0.0)
+    viol = float(np.max(vals[n_t:], initial=0.0))
     lam_rows, lam_bounds = lam[:len(vals)], lam[len(vals):]
     multipliers = {"terms": lam_rows[:n_t], "constraints": lam_rows[n_t:], "bounds": lam_bounds}
     kkt = _kkt_residual(vals, jac, n_t, x_star, multipliers)
@@ -285,7 +255,7 @@ def solve_maxmin(problem: Rows, warm: KernelResult | None = None) -> KernelResul
     ok = done and kkt <= KKT_TOL * kkt_scale and viol <= _FEAS_TOL
     return KernelResult(
         x=x_star, value=float(min(vals[:n_t])), max_violation=viol, kkt_residual=kkt,
-        newton_iters=newton_total, outer_iters=loops,
+        newton_iters=newton, outer_iters=1,
         status=STATUS_CONVERGED if ok else STATUS_MAX_ITERATIONS, multipliers=multipliers)
 
 

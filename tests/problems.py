@@ -23,8 +23,7 @@ class MaxMinProblem:
        The overall objective is their pointwise minimum.
     constraints: convex inequalities g(x) <= 0 returning (value, gradient,
        hessian); hessian None means affine.
-    x0: starting point, ideally strictly feasible (phase I repairs it
-       otherwise).
+    x0: starting point; the kernel needs it strictly feasible.
     """
 
     n: int

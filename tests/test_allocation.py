@@ -25,9 +25,10 @@ from duallink import (
     solve_maxmin,
     weighted_min_gap,
 )
-from duallink import allocation
+from duallink import allocation, experiments
 from duallink.allocation import _build_subproblem, _coeffs, _objective_terms_np, _sca
-from duallink.link import decoding_forms
+from duallink.link import decoding_forms, route_coefficients
+from duallink.maxmin import STATUS_INFEASIBLE_START
 from problems import MaxMinProblem
 from test_acceptance import _random_scenario
 from test_maxmin_rows import record_evaluations
@@ -213,7 +214,7 @@ def test_default_grid_evaluates_each_point_once(monkeypatch):
 def test_array_rows_match_per_row_callables(scenario, gains):
     # The allocator's stacked rows and a MaxMinProblem of per-row callables
     # over the same rows are one problem: the kernel reaches the same point
-    # from the built start and through phase I from an infeasible one.
+    # from the built start.
     p = PowerAllocation(0.001, 0.004, 0.003, 0.002)
     mu = optimal_mu(p, gains, scenario.n_b, scenario.n_r)
     sub = _subproblem(scenario, gains, p, mu)
@@ -229,17 +230,46 @@ def test_array_rows_match_per_row_callables(scenario, gains):
     m = len(sub.evaluate(sub.x0)[0])
     terms = [lambda x, fn=row(i): fn(x)[:2] for i in range(sub.n_terms)]
     constraints = [row(i) for i in range(sub.n_terms, m)]
-    for shift in (0.0, 0.3):
-        x0 = sub.x0 + shift
-        assert (sub.evaluate(x0)[0][-1] > 0.0) == (shift > 0.0)  # the power budget
-        arrays = replace(sub, x0=x0)
-        callables = MaxMinProblem(n=8, terms=terms, constraints=constraints, x0=x0.copy())
-        a, b = solve_maxmin(arrays), solve_maxmin(callables)
-        assert a.status == b.status == "converged"
-        np.testing.assert_allclose(a.x, b.x, rtol=0.0, atol=1e-9)
-        # Same Newton path up to rounding: dropping the per-row Hessians
-        # would cost about 70% more steps.
-        assert abs(a.newton_iters - b.newton_iters) <= 0.1 * a.newton_iters
+    callables = MaxMinProblem(n=8, terms=terms, constraints=constraints, x0=sub.x0.copy())
+    a, b = solve_maxmin(sub), solve_maxmin(callables)
+    assert a.status == b.status == "converged"
+    np.testing.assert_allclose(a.x, b.x, rtol=0.0, atol=1e-9)
+    # Same Newton path up to rounding: dropping the per-row Hessians
+    # would cost about 70% more steps.
+    assert abs(a.newton_iters - b.newton_iters) <= 0.1 * a.newton_iters
+
+
+def _with_route_snrs(base, snr_d, snr_r):
+    """base with its route SNRs w p_max / N set to snr_d and snr_r dB by the
+    noise PSD and the reflector element length."""
+    w_d, w_r = route_coefficients(link_gains(base), base.n_b, base.n_r)
+    sc = replace(base, noise_psd=w_d * base.p_max / base.bandwidth / 10 ** (snr_d / 10))
+    w_r_target = link_gains(sc).noise_w * 10 ** (snr_r / 10) / base.p_max
+    return replace(sc, l_x=base.l_x * math.sqrt(w_r_target / w_r))
+
+
+def test_window_corners_start_strictly_feasible(monkeypatch):
+    # At the corners of the route-SNR window that configs must lie in, every
+    # inner solve of both forms starts strictly feasible, as the kernel,
+    # which has no phase I, needs.  Weights from tiny and near-one alpha.
+    statuses = []
+
+    def recorded(problem, warm=None):
+        res = solve_maxmin(problem, warm)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(allocation, "solve_maxmin", recorded)
+    rng = np.random.default_rng(11)
+    lo, hi = experiments._ROUTE_SNR_DB
+    for snr_d in (lo + 1e-6, hi - 1e-6):
+        for snr_r in (lo + 1e-6, hi - 1e-6):
+            sc = _with_route_snrs(ScenarioParams(), snr_d, snr_r)
+            experiments._check_routes(sc, "corner")
+            for alpha in (10 ** rng.uniform(-30, -1), 1 - 10 ** rng.uniform(-15, -1)):
+                capacity_allocation(sc, alpha)
+                sca_power_allocation(sc, alpha, 10 ** rng.uniform(-3, 6))
+    assert len(statuses) > 16 and STATUS_INFEASIBLE_START not in statuses
 
 
 def test_objective_zero_powers(scenario):

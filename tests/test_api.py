@@ -32,15 +32,17 @@ TAKES_ARRIVAL = ("objective_for_powers", "sca_power_allocation", "brute_force_or
                  "oma_optimize")
 BAD_TRAFFIC = [
     *(pytest.param(name, alpha, 700.0, id=f"{name}-alpha-{alpha}")
-      for name in TRAFFIC_ENTRY_POINTS for alpha in (math.nan, -0.2, 1.5)),
+      for name in TRAFFIC_ENTRY_POINTS for alpha in (math.nan, -0.2, 1.5, 1e-200)),
     *(pytest.param(name, 0.1, arrival, id=f"{name}-arrival-{arrival}")
-      for name in TAKES_ARRIVAL for arrival in (math.nan, -1.0, math.inf)),
+      for name in TAKES_ARRIVAL for arrival in (math.nan, -1.0, math.inf, 1e300)),
 ]
 
 
 @pytest.mark.parametrize("name, alpha, arrival", BAD_TRAFFIC)
 def test_bad_traffic_overrides_are_rejected(name, alpha, arrival):
     # The overrides get the checks ScenarioParams applies to its own alpha
-    # and arrival_rate, so no entry point returns a number for them.
+    # and arrival_rate, so no entry point returns a number for them: nor for
+    # an alpha in (0, 1e-30) or an arrival rate above 1e120, which overflow
+    # the kernel.
     with pytest.raises(ValueError):
         TRAFFIC_ENTRY_POINTS[name](duallink.ScenarioParams(), alpha, arrival)

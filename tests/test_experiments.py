@@ -313,6 +313,7 @@ def test_sweep_raises_a_coding_error(tmp_path, monkeypatch):
     ("q_d", "0.05, 0.2", 0.05),   # below the default q_r = 0.1
     ("n_ris", "0, 100", 0.0),
     ("arrival", "-5, 100", -5.0),
+    ("alpha", "0.0, 1e-200, 0.1", 1e-200),  # its capacity weight overflows the kernel
 ])
 def test_sweep_rejects_bad_grid_values(tmp_path, capsys, axis, grid, bad):
     # A grid value no scenario accepts fails at the config boundary, naming
@@ -692,26 +693,59 @@ def test_cli_simulate_overwrites_a_longer_file(tmp_path, capsys):
     assert reused.read_bytes() == fresh.read_bytes()
 
 
+UNUSABLE = "both route coefficients"
+OUT_OF_WINDOW = "route SNRs must lie in [-50, 90] dB"
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep", "oracle", "simulate"])
-@pytest.mark.parametrize("text, where", [
-    pytest.param("d_br = 1e6\nd_ru = 1e6\nl_x = 1e-300\n", "scenario", id="gain-underflows"),
-    pytest.param("n_r = 1e12\nl_x = 1e300\n", "scenario", id="square-overflows"),
-    pytest.param("l_x = 1e140\naxis = n_ris\ngrid = 100, 1e40\n", "n_ris grid value 1e+40",
+@pytest.mark.parametrize("text, error", [
+    pytest.param("d_br = 1e6\nd_ru = 1e6\nl_x = 1e-300\n", f"scenario: {UNUSABLE}",
+                 id="gain-underflows"),
+    pytest.param("n_r = 1e12\nl_x = 1e300\n", f"scenario: {UNUSABLE}", id="square-overflows"),
+    # n_b * n_r is an int too large for a float.
+    pytest.param("axis = n_ris\ngrid = 100, 1e308\n", f"n_ris grid value 1e+308: {UNUSABLE}",
                  id="grid-point-infinite"),
+    pytest.param("noise_psd = -280\n", f"scenario: {OUT_OF_WINDOW}, got 146.0 dB direct",
+                 id="snr-above-window"),
+    pytest.param("noise_psd = -20\n", f"scenario: {OUT_OF_WINDOW}, got -114.0 dB direct",
+                 id="snr-below-window"),
+    # w p_max / N underflows to 0: the SNRs are taken as sums of logs.
+    pytest.param("p_max = -3100\nnoise_psd = 100\n", f"scenario: {OUT_OF_WINDOW}, got -3344.0",
+                 id="snr-underflows"),
+    # The scenario's reflected SNR is -16.8 dB; one element alone gives -56.8 dB.
+    pytest.param("l_x = 5e-5\naxis = n_ris\ngrid = 1, 10000\n",
+                 f"n_ris grid value 1.0: {OUT_OF_WINDOW}", id="grid-point-outside-window"),
 ])
-def test_cli_rejects_unusable_route_gains(tmp_path, capsys, command, text, where):
-    # Route gains the allocator cannot use fail at the config boundary: exit
-    # 2 and one error line, not a traceback at solve time or error rows.
+def test_cli_rejects_unusable_route_gains(tmp_path, capsys, command, text, error):
+    # Route gains the allocator cannot use, or route SNRs outside the window
+    # it represents, fail at the config boundary: exit 2 and one error line,
+    # not a traceback at solve time or error rows.
     cfg, out = write(tmp_path, "gains.cfg", text), str(tmp_path / "out.csv")
-    with pytest.raises(ConfigValidationError, match=f"^{re.escape(where)}: both route coefficients"):
+    with pytest.raises(ConfigValidationError, match=f"^{re.escape(error)}"):
         load_config(cfg)
     assert main([command, "--config", cfg, "--out", out]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {where}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "oracle", "simulate"])
+@pytest.mark.parametrize("text, error", [
+    ("alpha = 1e-31\n", "alpha must be 0 or lie in [1e-30, 1]"),
+    ("arrival_rate = 1.1e120\n", "arrival_rate must lie in [0, 1e+120]"),
+])
+def test_cli_rejects_traffic_the_kernel_cannot_hold(tmp_path, capsys, command, text, error):
+    # A capacity weight 1/alpha above 1e30 or an arrival rate above 1e120
+    # would overflow the kernel's Newton system: exit 2 at load.
+    cfg, out = write(tmp_path, "traffic.cfg", text), str(tmp_path / "out.csv")
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("text, command, error", [
-    *[pytest.param("noise_psd = -20\n", command, "inner solve lost feasibility",
+    # The allocator cannot solve this scenario, so it fails at load.
+    *[pytest.param("noise_psd = -20\n", command, f"scenario: {OUT_OF_WINDOW}",
                    id=f"low-snr-{command}") for command in ("solve", "simulate", "oracle")],
     pytest.param("slot_duration = 1e300\n", "solve",
                  "slot_duration * bandwidth / packet_size must be at most 1e+120",

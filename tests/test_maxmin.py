@@ -108,16 +108,26 @@ def test_deterministic():
     assert a.newton_iters == b.newton_iters
 
 
-@pytest.mark.parametrize("x0", [[5.0, 5.0], [0.0, -1.0]], ids=["over-budget", "outside-bounds"])
-def test_phase_one_recovers_from_infeasible_start(x0):
-    # [5, 5] violates the budget; [0, -1] lies on and outside x >= 0, so
-    # phase I first moves it inside the bounds.
+@pytest.mark.parametrize("x0, value, violation", [
+    ([5.0, 5.0], 5.0, 8.0), ([0.0, -1.0], None, 1.0)], ids=["over-budget", "outside-bounds"])
+def test_infeasible_start_returns_at_once(x0, value, violation):
+    # The kernel has no phase I: [5, 5] violates the budget and is reported
+    # with its row values; [0, -1] lies on and outside x >= 0 and is not
+    # evaluated at all.  Neither takes a Newton step.
     prob = symmetric_budget_problem()
     prob.x0 = np.array(x0)
+    evaluated = []
+    evaluate = prob.evaluate
+    prob.evaluate = lambda x: evaluated.append(x.copy()) or evaluate(x)
     res = solve_maxmin(prob)
-    assert res.status == STATUS_CONVERGED
-    assert res.outer_iters == 2  # phase I, then the main loop
-    np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-6)
+    assert res.status == STATUS_INFEASIBLE_START
+    assert res.newton_iters == 0 and res.outer_iters == 1
+    assert res.kkt_residual == np.inf and res.max_violation == violation
+    np.testing.assert_array_equal(res.x, x0)
+    if value is None:
+        assert np.isnan(res.value) and evaluated == []
+    else:
+        assert res.value == value and len(evaluated) == 1
 
 
 def test_infeasible_problem_reports_status():

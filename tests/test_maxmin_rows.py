@@ -1,13 +1,10 @@
 """Kernel tests for the stacked-row view of a MaxMinProblem."""
 
-import math
 from collections import Counter, defaultdict
 
 import numpy as np
-import pytest
 
-from duallink import maxmin, solve_maxmin
-from duallink.maxmin import STATUS_CONVERGED
+from duallink import maxmin
 from problems import MaxMinProblem
 
 
@@ -35,19 +32,6 @@ def test_rows_stack_terms_then_constraints():
     np.testing.assert_array_equal(jacobian(), [[1.0, 1.0], [3.0, 0.0], [1.0, 0.5]])
     # Terms are affine beyond first order: only the ball's Hessian counts.
     np.testing.assert_array_equal(weighted_hessian(np.array([5.0, 7.0, 0.5])), np.eye(2))
-
-
-def test_phase_one_on_curved_constraint():
-    # From outside the ball, phase I follows the constraint's curvature
-    # through the adapter's weighted Hessian: it takes about 14 Newton
-    # steps with it and about 160 without it.
-    res = solve_maxmin(ball_problem([2.0, 1.5]))
-    ref = solve_maxmin(ball_problem([0.1, 0.1]))
-    assert res.status == ref.status == STATUS_CONVERGED
-    assert ref.newton_iters < res.newton_iters <= ref.newton_iters + 40
-    np.testing.assert_allclose(res.x, [1.0 / math.sqrt(2.0)] * 2, atol=1e-6)
-    assert res.value == pytest.approx(math.sqrt(2.0), abs=1e-6)
-    assert res.max_violation <= 1e-9
 
 
 def record_evaluations(monkeypatch, cls):
@@ -91,20 +75,3 @@ def record_evaluations(monkeypatch, cls):
         return sum(map(len, evaluated.values())), repeats, sum(map(len, built.values()))
 
     return check
-
-
-def test_phase_one_and_warm_start_evaluate_each_accepted_point_once(monkeypatch):
-    # From outside the ball, warm-started from the solve of the same rows:
-    # phase I, then the main loop from the pulled warm point.  A point the
-    # line search accepts is evaluated once; only loop starts repeat: x0 is
-    # read by the feasibility test and by phase I's loop, which gets the
-    # test's values for its own start, the pulled point by the warm start's
-    # test and by the main loop.  Phase I's last point starts the main
-    # loop's search too, and is the one point whose Jacobian is built twice.
-    warm = solve_maxmin(ball_problem([0.1, 0.1]))
-    check = record_evaluations(monkeypatch, MaxMinProblem)
-    res = solve_maxmin(ball_problem([2.0, 1.5]), warm)
-    assert res.status == STATUS_CONVERGED and res.outer_iters == 2
-    evaluations, repeats, jacobians = check()
-    assert repeats == 2 and evaluations > res.newton_iters
-    assert jacobians < evaluations

@@ -1,13 +1,11 @@
-"""Primal-dual kernel tests: warm starts along the SCA run, multipliers, phase I."""
-
-import math
+"""Primal-dual kernel tests: warm starts along the SCA run, and multipliers."""
 
 import numpy as np
 import pytest
 
 from duallink import ScenarioParams, solve_maxmin
 from duallink import allocation
-from duallink.maxmin import KKT_TOL, STATUS_CONVERGED, _phase_one
+from duallink.maxmin import KKT_TOL, STATUS_CONVERGED
 from problems import MaxMinProblem, kkt_residual
 from test_acceptance import _random_scenario
 
@@ -91,21 +89,6 @@ def _ball_problem(x0):
         constraints=[lambda x: (float(x @ x) - 1.0, 2.0 * x, 2.0 * np.eye(2))],
         x0=np.asarray(x0, dtype=float),
     )
-
-
-def test_phase_one_repairs_ball_start():
-    problem = _ball_problem([2.0, 1.5])
-    x, vals, ok, steps = _phase_one(problem.x0, problem)
-    assert ok and 0 < steps
-    assert vals.tobytes() == problem.evaluate(x)[0].tobytes()
-    assert np.all(x > 0.0) and float(x @ x) < 1.0
-
-    res = solve_maxmin(problem)
-    assert res.status == STATUS_CONVERGED
-    assert res.outer_iters == 2  # phase I, then the main loop
-    np.testing.assert_allclose(res.x, [1.0 / math.sqrt(2.0)] * 2, atol=1e-6)
-    assert res.value == pytest.approx(math.sqrt(2.0), abs=1e-6)
-    assert res.kkt_residual <= KKT_TOL * _kkt_scale(problem, res)
 
 
 def test_warm_start_outside_the_problem_falls_back_to_x0():
