@@ -31,7 +31,7 @@ from .link import (
     ratio_parts,
     route_coefficients,
 )
-from .maxmin import STATUS_INFEASIBLE_START, solve_maxmin
+from .maxmin import STATUS_CONVERGED, STATUS_INFEASIBLE_START, solve_maxmin
 
 # Guard for square-root arguments; p = 0 is a legitimate boundary point.
 _SQRT_FLOOR = 1e-30
@@ -56,7 +56,11 @@ class AuxiliaryMu:
 
 @dataclass
 class SolveResult:
-    """Outcome of one allocator run at fixed traffic mix."""
+    """
+    Outcome of one allocator run at fixed traffic mix.  ``converged`` is
+    true when the SCA's stop test passed and its last inner solve converged,
+    and for a closed-form optimum, which needs no inner solve.
+    """
 
     power: PowerAllocation
     rate_h: float
@@ -391,7 +395,7 @@ def _sca(scenario, alpha, arrival, weights, offsets, *, stop_when_nonneg=False):
         best = new
         history.append(new.objective)
         if abs(new.objective - obj) <= _SCA_REL_TOL * max(1.0, abs(new.objective)):
-            converged = True
+            converged = result.status == STATUS_CONVERGED
             break
 
     best.iterations, best.converged, best.objective_history = iterations, converged, history

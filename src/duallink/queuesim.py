@@ -11,7 +11,6 @@ queue lengths divided by the per-class arrival rates.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ _LEVEL_BLOCK = 4096
 
 @dataclass
 class QueueTrace:
-    """Per-slot record of a simulation run plus its provenance."""
+    """Per-slot record of a simulation run."""
 
     a_h: np.ndarray       # HC arrivals per slot
     a_l: np.ndarray       # LC arrivals per slot
@@ -37,8 +36,6 @@ class QueueTrace:
     beta_r: np.ndarray    # reflected-route availability
     q_h: np.ndarray       # HC queue after the slot
     q_l: np.ndarray       # LC queue after the slot
-    seed: int
-    scenario_digest: str
 
     def __len__(self) -> int:
         return len(self.q_h)
@@ -83,7 +80,6 @@ def run_simulation(
     s_h = beta_r * (per_slot * stream_rates[0])
     s_l = beta_d * (per_slot * stream_rates[1])
 
-    digest = hashlib.sha256(repr(scenario).encode()).hexdigest()[:16]
     return QueueTrace(
         a_h=a_h,
         a_l=a_l,
@@ -93,8 +89,6 @@ def run_simulation(
         beta_r=beta_r,
         q_h=_levels(s_h, a_h),
         q_l=_levels(s_l, a_l),
-        seed=seed,
-        scenario_digest=digest,
     )
 
 

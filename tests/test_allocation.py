@@ -467,6 +467,17 @@ def test_rejected_iterate_stops_unconverged(scenario, monkeypatch):
     assert len(res.objective_history) == 1
 
 
+def test_unconverged_inner_solve_leaves_the_run_unconverged():
+    # At a service factor of 1e8 (slot 1e5 s) every inner solve ends at the
+    # kernel's step cap.  The SCA's own stop test still passes, but the run
+    # must not report convergence; at the default slot it does.
+    config = default_config()
+    res = capacity_allocation(replace(config.scenario, slot_duration=1e5), 0.15)
+    assert res.iterations < allocation._SCA_MAX_ITERS and res.converged is False
+    assert all(capacity_allocation(config.scenario, alpha).converged for alpha in config.grid)
+    assert sca_power_allocation(config.scenario).converged
+
+
 def _closed_form_cases():
     rng = np.random.default_rng(42)
     cases = [(*_random_scenario(rng), False) for _ in range(5)]

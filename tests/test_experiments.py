@@ -587,7 +587,7 @@ def _synthetic_trace(kind: str, slots: int) -> QueueTrace:
         negative = rng.integers(-128, 128, slots).astype(np.int8)
         unsigned = np.resize(_INT_EDGES, slots).astype(np.uint32)
         return QueueTrace(a_h, a_l, floats[0], floats[1], negative, unsigned,
-                          floats[2], floats[3], seed=0, scenario_digest="synthetic")
+                          floats[2], floats[3])
     if kind == "random":
         floats = rng.random((4, slots)) * 10.0 ** rng.integers(-20, 20, (4, slots))
         floats[:, :3] = [0.0, 1e-300, 2.5][:slots]
@@ -601,8 +601,7 @@ def _synthetic_trace(kind: str, slots: int) -> QueueTrace:
         floats[:, :5] = [-0.0, 0.0, 5e-324, 1e16, 1e-5][:slots]
         ints = np.repeat(ints, lengths, axis=1)[:, :slots] % 3
     return QueueTrace(ints[0], ints[1], floats[0], floats[1],
-                      ints[2].astype(np.int8), ints[3].astype(np.int8), floats[2], floats[3],
-                      seed=0, scenario_digest="synthetic")
+                      ints[2].astype(np.int8), ints[3].astype(np.int8), floats[2], floats[3])
 
 
 def test_trace_writer_matches_csv_module(tmp_path):
@@ -761,6 +760,24 @@ def test_cli_reports_solver_failures(tmp_path, capsys, text, command, error):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {error}") and captured.err.count("\n") == 1
     assert not os.path.exists(out)
+
+
+def test_singular_newton_systems_become_solver_failures(tmp_path, monkeypatch, capsys):
+    # A Newton system still singular after the kernel's one ridge raises
+    # LinAlgError, a ValueError: the sweep writes an error row for each
+    # point that needs the kernel, and solve exits 2 with one error line.
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    cfg, out = write(tmp_path, "grid.cfg", "grid = 0, 0.1\n"), str(tmp_path / "sweep.csv")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    assert [(row.sweep_value, row.scheme, row.status) for row in read_rows(out)] == [
+        (0.0, "mcsc", "ok"), (0.0, "oma", "ok"),
+        (0.1, "mcsc", "error:LinAlgError"), (0.1, "oma", "ok")]
+    capsys.readouterr()
+    assert main(["solve"]) == 2
+    assert capsys.readouterr() == ("", "error: Singular matrix\n")
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

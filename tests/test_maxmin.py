@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from duallink import solve_maxmin
-from duallink.maxmin import KKT_TOL, STATUS_CONVERGED, STATUS_INFEASIBLE_START
+from duallink.maxmin import STATUS_CONVERGED, STATUS_INFEASIBLE_START
 from problems import MaxMinProblem, kkt_residual
+
+# The KKT residual a converged solve may leave, relative to its terms' size.
+KKT_TOL = 1e-3
 
 
 def affine_term(coeffs, offset=0.0):

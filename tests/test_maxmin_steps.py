@@ -1,4 +1,4 @@
-"""Kernel step tests: the Newton-system fallbacks and the pinned Newton path."""
+"""Kernel step tests: the Newton-system ridge and the pinned Newton path."""
 
 import numpy as np
 import pytest
@@ -34,7 +34,8 @@ def test_singular_hessian_takes_the_ridge_path():
     np.testing.assert_allclose(ridged @ step, -grad, rtol=1e-9)
 
 
-def test_failing_solve_falls_back_to_lstsq(monkeypatch):
+def test_second_singular_system_raises(monkeypatch):
+    # The plain solve, then one ridge; a second LinAlgError propagates.
     calls = []
 
     def fail(a, b):
@@ -43,15 +44,11 @@ def test_failing_solve_falls_back_to_lstsq(monkeypatch):
 
     hess = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
     grad = np.array([1.0, -2.0, 0.5])
-    expected = np.linalg.solve(hess, -grad)
     monkeypatch.setattr(maxmin.np.linalg, "solve", fail)
-    step = _solve_newton_system(hess, grad)
-    # The plain solve, then the five ridges, then least squares.
-    assert len(calls) == 6
-    scaled = calls[0]
-    ridges = [float(np.mean(np.diag(a - scaled))) for a in calls[1:]]
-    np.testing.assert_allclose(ridges, [1e-12, 1e-10, 1e-8, 1e-6, 1e-4], rtol=1e-3)
-    np.testing.assert_allclose(step, expected, rtol=1e-12)
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_newton_system(hess, grad)
+    assert len(calls) == 2
+    np.testing.assert_allclose(calls[1] - calls[0], 1e-12 * np.eye(3), rtol=1e-3, atol=1e-20)
 
 
 def test_default_grid_newton_steps_are_pinned(monkeypatch):

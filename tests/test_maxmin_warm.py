@@ -5,9 +5,12 @@ import pytest
 
 from duallink import ScenarioParams, solve_maxmin
 from duallink import allocation
-from duallink.maxmin import KKT_TOL, STATUS_CONVERGED
+from duallink.maxmin import STATUS_CONVERGED
 from problems import MaxMinProblem, kkt_residual
 from test_acceptance import _random_scenario
+
+# The KKT residual a converged solve may leave, relative to its terms' size.
+KKT_TOL = 1e-3
 
 
 def _kkt_scale(problem, res):
@@ -72,6 +75,7 @@ def test_warm_start_matches_cold_in_fewer_steps(monkeypatch, run):
 def test_multipliers_satisfy_kkt(monkeypatch, run):
     for problem, warm, cold in _warm_and_cold(monkeypatch, run):
         for res in (warm, cold):
+            assert res.status == STATUS_CONVERGED
             lam = np.concatenate(list(res.multipliers.values()))
             assert np.all(lam >= 0.0)
             residual = kkt_residual(problem, res.x, res.multipliers)

@@ -91,7 +91,6 @@ def test_seeded_reproducibility(scenario):
     assert t1.q_l.tobytes() == t2.q_l.tobytes()
     assert np.array_equal(t1.a_h, t2.a_h)
     assert np.array_equal(t1.beta_d, t2.beta_d)
-    assert t1.scenario_digest == t2.scenario_digest
     t3 = run_simulation(scenario, (1.4e10, 9.6e10), 30000, seed=78)
     assert not np.array_equal(t1.a_h, t3.a_h)
 
@@ -169,7 +168,6 @@ def _constant_trace(level_h: float, level_l: float, slots: int) -> QueueTrace:
         beta_r=np.ones(slots, dtype=np.int8),
         q_h=np.full(slots, level_h),
         q_l=np.full(slots, level_l),
-        seed=0, scenario_digest="synthetic",
     )
 
 
