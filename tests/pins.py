@@ -47,10 +47,10 @@ def _sha256(data: bytes | str) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
-def _run_cli(argv: list[str], files: list[str], config: str | None = None) -> dict[str, str]:
+def _run_cli(argv: list[str], outputs: list[str], config: str | None = None) -> dict[str, str]:
     """
-    Run the CLI in a fresh directory; digests of its stdout and of the
-    named files it writes there.
+    Run the CLI in a fresh directory; digests of the named outputs: its
+    stdout, or files it writes there.
     """
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -60,15 +60,18 @@ def _run_cli(argv: list[str], files: list[str], config: str | None = None) -> di
                 with open("run.cfg", "w") as fh:
                     fh.write(config)
                 argv = [*argv, "--config", "run.cfg"]
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
                 code = cli.main(argv)
             if code != 0:
                 raise RuntimeError(f"duallink {' '.join(argv)} exited {code}")
-            digests = {"stdout": _sha256(out.getvalue())}
-            for name in files:
-                with open(name, "rb") as fh:
-                    digests[name] = _sha256(fh.read())
+            digests = {}
+            for name in outputs:
+                if name == "stdout":
+                    digests[name] = _sha256(stdout.getvalue())
+                else:
+                    with open(name, "rb") as fh:
+                        digests[name] = _sha256(fh.read())
         finally:
             os.chdir(cwd)
     return digests
@@ -76,19 +79,17 @@ def _run_cli(argv: list[str], files: list[str], config: str | None = None) -> di
 
 def solve_both() -> dict[str, str]:
     """`duallink solve --scheme both` on the default config."""
-    return _run_cli(["solve", "--scheme", "both"], [])
+    return _run_cli(["solve", "--scheme", "both"], ["stdout"])
 
 
 def sweep_metrics_both() -> dict[str, str]:
     """`duallink sweep` on the default config with ``metrics = both``."""
-    digests = _run_cli(["sweep"], ["sweep.csv", "sweep.csv.meta"], "metrics = both\n")
-    del digests["stdout"]
-    return digests
+    return _run_cli(["sweep"], ["sweep.csv", "sweep.csv.meta"], "metrics = both\n")
 
 
 def simulate_oma() -> dict[str, str]:
     """`duallink simulate --scheme oma` on the default config."""
-    return _run_cli(["simulate", "--scheme", "oma"], ["trace.csv"])
+    return _run_cli(["simulate", "--scheme", "oma"], ["stdout", "trace.csv"])
 
 
 def _hex(values) -> str:
@@ -105,12 +106,12 @@ def _kernel_line(res) -> str:
 
 def _kernel_runs():
     """(set, label, run) for every allocator run whose kernel results are pinned."""
-    scenario = default_config().scenario
-    for alpha in default_config().grid:
-        yield ("default grid", f"capacity alpha={alpha}",
-               lambda a=alpha: allocation.capacity_allocation(scenario, a))
-        yield ("default grid", f"gap alpha={alpha}",
-               lambda a=alpha: allocation.sca_power_allocation(scenario, a))
+    config = default_config()
+    for alpha in config.grid:
+        yield "default grid", f"capacity alpha={alpha}", (
+            lambda a=alpha: allocation.capacity_allocation(config.scenario, a))
+        yield "default grid", f"gap alpha={alpha}", (
+            lambda a=alpha: allocation.sca_power_allocation(config.scenario, a))
     rng = np.random.default_rng(42)
     for i in range(CRITERION_4_DRAWS):
         sc, alpha = _random_scenario(rng)
@@ -146,10 +147,9 @@ def kernel_lines() -> dict[str, list[str]]:
     return lines
 
 
-def kernel_results(lines: dict[str, list[str]] | None = None) -> dict[str, str]:
+def kernel_results() -> dict[str, str]:
     """Digests of the kernel-result lines, one per set."""
-    lines = kernel_lines() if lines is None else lines
-    return {group: _sha256("\n".join(text) + "\n") for group, text in lines.items()}
+    return {group: _sha256("\n".join(text) + "\n") for group, text in kernel_lines().items()}
 
 
 # Pin name -> the function that computes its digests.
@@ -170,13 +170,11 @@ def main(argv: list[str]) -> int:
     if argv not in ([], ["--write"]):
         print("usage: python tests/pins.py [--write]", file=sys.stderr)
         return 2
-    lines = kernel_lines()
     if not argv:
-        for group, text in lines.items():
+        for group, text in kernel_lines().items():
             for line in text:
                 print(f"{group}: {line}")
-    pins = {name: (kernel_results(lines) if compute is kernel_results else compute())
-            for name, compute in GROUPS.items()}
+    pins = {name: compute() for name, compute in GROUPS.items()}
     for name, digests in pins.items():
         for item, digest in digests.items():
             print(f"{digest}  {name}: {item}")
