@@ -13,6 +13,7 @@ from duallink import (
     sca_power_allocation,
     solve_maxmin,
 )
+import pins
 from problems import MaxMinProblem
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -55,12 +56,12 @@ def test_bench_counts_read_result_fields():
 def test_traced_solves_keep_their_warm_starts():
     # The traced run wraps solve_maxmin; a wrapper that dropped the warm
     # start would make every SCA iteration start cold and move the traced
-    # Newton counts.  The steps are tests/test_maxmin_steps.py's at 0.25.
+    # Newton counts.  The steps are the pinned default-grid steps at 0.25.
     spans = _load_spans()
     plain = capacity_allocation(ScenarioParams(), 0.25)
     tracer = spans.Tracer()
     with tracer.installed():
         traced = capacity_allocation(ScenarioParams(), 0.25)
     assert traced == plain
-    assert [s["newton"] for s in tracer.spans if s["name"] == "maxmin.solve"] == [
-        35, 29, 13, 12, 9, 9]
+    assert [s["newton"] for s in tracer.spans if s["name"] == "maxmin.solve"] == (
+        pins.load()["default grid newton steps"]["0.25"])

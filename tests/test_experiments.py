@@ -27,6 +27,7 @@ from duallink.cli import _TRACE_ROWS_PER_WRITE, _write_trace, main
 from duallink import experiments
 from duallink.experiments import CSV_HEADER, default_config, write_rows
 from duallink.oma import oma_optimize
+import pins
 
 GOLDEN_SWEEP = os.path.join(os.path.dirname(__file__), "data", "sweep_default.csv")
 SE_SUM_LC_ONLY = 9.306028068406784
@@ -530,14 +531,10 @@ def test_cli_simulate_writes_trace(tmp_path, capsys):
     assert "stable=" in capsys.readouterr().out
 
 
-# The default `duallink simulate`: the trace CSV's SHA-256 and the stdout.
-DEFAULT_TRACE_SHA256 = "ab98185260efdf7fdde6387218cadde73abd6cd817a3c4d26d6270d38958dc99"
-DEFAULT_SIMULATE_STDOUT = (
-    "wrote 100000 slots to <out>\n"
-    "mean queues: hc=78.840 lc=10415.257 stable=True\n"
-    "hc delay: 1.1263 slots\n"
-    "lc delay: 16.5322 slots\n"
-)
+# The default `duallink simulate`: the trace CSV's SHA-256 and the stdout,
+# regenerated with `python tests/pins.py --write`.
+DEFAULT_TRACE_SHA256 = pins.load()["simulate default"]["trace.csv"]
+DEFAULT_SIMULATE_STDOUT = pins.load()["simulate default"]["stdout"]
 
 
 def test_default_simulate_output_is_pinned(tmp_path, capsys):
@@ -815,14 +812,10 @@ def test_cli_rejects_grid_n_before_solving(monkeypatch, capsys, grid_n):
 
 
 def test_cli_oracle_output_is_pinned(capsys):
-    # The default config at grid 101, digit for digit.
+    # The default config at grid 101, digit for digit, as pinned by
+    # `python tests/pins.py --write`.
     assert main(["oracle", "--grid-n", "101"]) == 0
-    assert capsys.readouterr().out == (
-        "allocator objective = 6.173789 (5 iterations)\n"
-        "oracle    objective = 5.979473 (grid 101)\n"
-        "oracle powers mW: hc_direct=1.100000 hc_ris=8.300000 lc_direct=0.600000 "
-        "lc_ris=0.000000\n"
-    )
+    assert capsys.readouterr().out == pins.load()["oracle --grid-n 101"]["stdout"]
 
 
 def test_default_sweep_matches_golden(tmp_path, monkeypatch):
@@ -830,7 +823,8 @@ def test_default_sweep_matches_golden(tmp_path, monkeypatch):
     # exactly, numbers within 1e-12 relative.  A change that moves a number
     # on purpose regenerates the file with `duallink sweep`.  The sidecar is
     # pinned byte for byte: its digest hashes repr(config), so it moves with
-    # any default, the derived panel angles included.
+    # any default, the derived panel angles included.  `python tests/pins.py
+    # --write` regenerates the CSV.
     monkeypatch.chdir(tmp_path)
     assert main(["sweep"]) == 0
     out = str(tmp_path / "sweep.csv")

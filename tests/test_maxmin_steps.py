@@ -6,18 +6,15 @@ import pytest
 from duallink import allocation, default_config
 from duallink import maxmin
 from duallink.maxmin import _solve_newton_system
+import pins
 
 # Newton steps of each inner solve of the default alpha grid's capacity
-# runs.  Any change to the kernel's arithmetic or line search moves them;
-# a change meant to keep the same iterates must leave them as they are.
+# runs, as pinned by `python tests/pins.py --write`.  Any change to the
+# kernel's arithmetic or line search moves them; a change meant to keep the
+# same iterates must leave them as they are.
 DEFAULT_GRID_NEWTON_STEPS = {
-    0.0: [],
-    0.05: [17, 13, 12, 10, 10],
-    0.10: [19, 18, 12, 10, 10],
-    0.15: [26, 26, 11, 10, 10],
-    0.20: [31, 26, 12, 10, 10],
-    0.25: [35, 29, 13, 12, 9, 9],
-}
+    float(alpha): steps
+    for alpha, steps in pins.load()["default grid newton steps"].items()}
 
 
 def test_singular_hessian_takes_the_ridge_path():
@@ -68,4 +65,3 @@ def test_default_grid_newton_steps_are_pinned(monkeypatch):
         allocation.capacity_allocation(config.scenario, alpha)
         per_alpha[alpha] = steps[start:]
     assert per_alpha == DEFAULT_GRID_NEWTON_STEPS
-    assert (len(steps), sum(steps)) == (26, 410)
