@@ -1,12 +1,13 @@
 """Queue-simulation tests: evolution law, conservation, delays, stability."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from duallink import QueueTrace, ScenarioParams, mean_delay, run_simulation
+from duallink import QueueTrace, ScenarioParams, mean_delay, queuesim, run_simulation
 from duallink.queuesim import _LEVEL_BLOCK
 
 
@@ -216,3 +217,84 @@ def test_mean_delay_rejects_empty():
     trace.q_l = np.array([])
     with pytest.raises(ValueError):
         mean_delay(trace, 0.5, 1.0, 0.1)
+
+
+def _loop_levels(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The reference: the queue recursion as a slot-by-slot loop."""
+    q = np.empty(len(s))
+    level = 0.0
+    for t, (s_t, a_t) in enumerate(zip(s.tolist(), a.tolist())):
+        level = (level - s_t if level > s_t else 0.0) + a_t
+        q[t] = level
+    return q
+
+
+def _recursion_case(kind: str, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Service and arrivals of one queue, drawn for the named case."""
+    rng = np.random.default_rng(31)
+    a = rng.poisson(3.0, slots)
+    up = rng.random(slots) < 0.7
+    if kind == "ties":  # whole-packet service: the level often equals it
+        return up * 5.0, a
+    if kind == "blocked":  # no route, no service: the queue never empties
+        return np.zeros(slots), a
+    if kind == "never-empty":  # served below its arrivals after a first burst
+        a[0] = 1000
+        return up * 2.9, a
+    if kind == "fractional":  # service just above the mean arrivals
+        return up * (3.0 / 0.7 * 1.02 + 1e-9 * rng.random(slots)), a
+    raise ValueError(kind)
+
+
+_CASES = ("ties", "blocked", "never-empty", "fractional")
+
+
+@pytest.mark.parametrize("slots", [1, 2, _LEVEL_BLOCK - 1, _LEVEL_BLOCK, _LEVEL_BLOCK + 1,
+                                   2 * _LEVEL_BLOCK + 1])
+@pytest.mark.parametrize("kind", _CASES)
+def test_levels_match_the_loop(kind, slots):
+    s, a = _recursion_case(kind, slots)
+    q = queuesim._levels(s, a)
+    assert q.tobytes() == _loop_levels(s, a).tobytes()
+    if kind == "ties" and slots > 100:
+        assert (q[:-1] == s[1:]).sum() > 10  # level - s_t is exactly 0.0
+    if kind in ("blocked", "never-empty"):
+        assert q.min() > 0.0
+
+
+@pytest.mark.parametrize("kind", _CASES)
+def test_levels_repair_a_wrong_start_detector(monkeypatch, kind):
+    # The bit check finds the first slot that a wrong start detector gets
+    # wrong, and the block is filled again from there.  Here the detector's
+    # first answer misses the first start and makes slot 1 one.
+    starts = queuesim._busy_period_starts
+    fills = []
+    fill = queuesim._fill_busy_periods
+
+    def wrong_once(s, a, level):
+        right = starts(s, a, level)
+        return right if fills[1:] else np.union1d(right[1:], [1])
+
+    def counted(s, a, level, q):
+        fills.append(len(s))
+        fill(s, a, level, q)
+
+    monkeypatch.setattr(queuesim, "_busy_period_starts", wrong_once)
+    monkeypatch.setattr(queuesim, "_fill_busy_periods", counted)
+    s, a = _recursion_case(kind, _LEVEL_BLOCK + 300)
+    assert queuesim._levels(s, a).tobytes() == _loop_levels(s, a).tobytes()
+    assert len(fills) == 3  # two blocks, one of them filled again
+    assert fills[1] < _LEVEL_BLOCK
+
+
+def test_levels_memory_budget():
+    # Blocks of slots bound the recursion's temporaries: on a 100,000-slot
+    # class trace it needs at most 1 MB beyond its output.
+    s, a = _recursion_case("fractional", 100_000)
+    tracemalloc.start()
+    try:
+        q = queuesim._levels(s, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - q.nbytes <= 2**20
