@@ -255,6 +255,7 @@ def _shortest_cells(bits: np.ndarray) -> np.ndarray:
     m = bits[lanes] & (2**52 - 1) | 2**52
     shift = k + 1
     scale = np.left_shift(1, shift)
+    rest = scale - 1
     half = scale >> 1
     even = 1 - (m & 1)
     top = scale - even
@@ -269,7 +270,7 @@ def _shortest_cells(bits: np.ndarray) -> np.ndarray:
         r *= 10
         margin *= 10
         np.right_shift(r, shift, out=digits[row], casting="unsafe")
-        r &= scale - 1
+        r &= rest
         np.logical_or(r < even + margin, r > top - margin, out=stop[row])
         np.greater(r, half, out=above[row])
         np.equal(r, half, out=tie[row])
