@@ -224,6 +224,7 @@ def _digit_cells(col: np.ndarray) -> np.ndarray:
 
 
 def _str_cells(values: np.ndarray) -> np.ndarray:
+    """Values as str gives them, left-aligned in zero-padded rows."""
     text = np.array(list(map(str, values.tolist())), dtype=np.bytes_)
     return text.view(np.uint8).reshape(len(text), -1)
 

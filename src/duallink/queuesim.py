@@ -103,10 +103,10 @@ def _levels(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     It runs a block of slots at a time, with the level carried across
     blocks.  Each block is filled by busy periods (_fill_busy_periods), then
     checked against one vectorised step of the loop from the level before
-    it, bit for bit.  The check passes on every slot only if every slot
-    equals the loop's value, by induction from the carried level.  At the
-    first slot that fails, the check's value is the loop's, so the block is
-    filled again from there.
+    it, bit for bit.  When every slot passes, every slot holds the loop's
+    value, by induction from the carried level.  At the first slot that
+    fails, the check's value is the loop's, so the block is filled again
+    from there.
     """
     q = np.empty(len(s))
     level = 0.0
@@ -159,9 +159,10 @@ def _fill_busy_periods(s: np.ndarray, a: np.ndarray, level: float, q: np.ndarray
     in sequence, and x + (-s) is x - s in IEEE arithmetic, so one cumsum
     over [start, -s, a, -s, a, ...] gives the loop's bits.  The periods are
     grouped by length up to the next power of two, and each group is one
-    cumsum along the rows of a matrix, a period per row, zero-padded: so
-    short periods advance by position all at once, and a long one is a
-    single row.  The padding at most doubles a group.
+    cumsum along the rows of a matrix, a period per row: so short periods
+    advance by position all at once, and a long one is a single row.  A
+    shorter row runs on into the slots after its period, which change no
+    sum before them and are not kept; they at most double a group.
     """
     n = len(s)
     starts = _busy_period_starts(s, a, level)
