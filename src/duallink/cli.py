@@ -201,13 +201,11 @@ def _cells(col: np.ndarray) -> np.ndarray:
     """
     if col.dtype.kind == "i" and col.min() >= 0:
         return _digit_cells(col)
-    if col.dtype != np.float64:
-        keys, index = np.unique(col, return_inverse=True)
-        return _str_cells(keys).take(index, axis=0)
-    keys, index = np.unique(col.view(np.int64), return_inverse=True)
-    if len(keys) > _SHORTEST_MIN_DISTINCT:
+    floats = col.dtype == np.float64
+    keys, index = np.unique(col.view(np.int64) if floats else col, return_inverse=True)
+    if floats and len(keys) > _SHORTEST_MIN_DISTINCT:
         return _shortest_cells(keys).take(index, axis=0)
-    return _str_cells(keys.view(np.float64)).take(index, axis=0)
+    return _str_cells(keys.view(col.dtype)).take(index, axis=0)
 
 
 def _digit_cells(col: np.ndarray) -> np.ndarray:
