@@ -21,7 +21,7 @@ from .link import ScenarioParams, sample_blockage_batch
 MIN_DELAY_HORIZON = 1000
 # Slots per block of the queue recursion, which bounds its temporaries:
 # about 0.6 MB on a 100,000-slot class trace, against 0.3 MB at 4096 slots
-# and a third more time.
+# and a quarter more time.
 _LEVEL_BLOCK = 8192
 
 
