@@ -37,8 +37,8 @@ import hashlib
 import io
 import json
 import os
-import sys
 import shutil
+import sys
 import tempfile
 from dataclasses import replace
 
