@@ -312,7 +312,9 @@ def sca_power_allocation(
     accepted iterates and is nondecreasing up to solver noise; an iterate
     that makes the objective worse is rejected and iteration stops with
     ``converged`` false.  With ``stop_when_nonneg`` the loop exits as soon
-    as the objective reaches zero, which is all a feasibility test needs.
+    as the objective reaches zero, all a feasibility test needs, and that
+    exit reports ``converged`` false too: the flag cannot tell it from a
+    failed run.
     At alpha = 0 or 1 the optimum is closed form, as in
     capacity_allocation, and no inner solve runs (``iterations`` is 0).
     """
@@ -345,7 +347,8 @@ def capacity_allocation(scenario: ScenarioParams, alpha: float | None = None) ->
     weights = (1.0 / alpha if alpha > 0.0 else 0.0,
                1.0 / (1.0 - alpha) if alpha < 1.0 else 0.0)
     res = _sca(scenario, alpha, 0.0, weights, (0.0, 0.0))
-    res.gap_h, res.gap_l = objective_for_powers(res.power, scenario, alpha, res.objective)[2:4]
+    res.gap_h -= alpha * res.objective
+    res.gap_l -= (1.0 - alpha) * res.objective
     return res
 
 

@@ -278,8 +278,7 @@ def _shortest_cells(bits: np.ndarray) -> np.ndarray:
     digits[at] += above[at]
     exact = (digits[at] < 10) & ~tie[at]
     digits += ord("0")
-    for row in range(1, steps):  # digits past the last are no bytes
-        digits[row, last < row] = 0
+    digits[np.arange(steps)[:, None] > last] = 0  # digits past the last are no bytes
     fast = np.concatenate(
         [_digit_cells(m >> k), np.full((len(lanes), 1), ord("."), dtype=np.uint8), digits.T],
         axis=1)

@@ -34,7 +34,13 @@ _METRICS = ("se", "delay", "both")
 # slot at 1 bit/s/Hz).  The kernel squares each objective row's slope, weight
 # * (1 - q) * factor, which overflows on the default scenario from a factor
 # of about 1e151; the limit leaves room for capacity weights 1/alpha to 1e30.
-_MAX_SERVICE_FACTOR = 1e120
+# A sweep checks the time-sharing a* as an arrival rate, and at route SNRs of
+# at most 90 dB every a* <= c_h + c_l < 2 log2(1 + 1e9) factor < 62 factor,
+# so the limit must be at most the arrival-rate limit 1e120 / 62.
+_MAX_SERVICE_FACTOR = 1e118
+# Longest horizon: a simulation holds about 48 bytes per slot (peak RSS 87 MB
+# at 1e6 slots, 232 MB at 4e6), so 1e8 slots take about 5 GB.
+_MAX_HORIZON = 10**8
 # Route SNRs w p_max / N [dB] from which the SCA's inner solves start strictly
 # feasible, as the kernel needs: measured by a seeded fuzz, see ROADMAP item 2.
 _ROUTE_SNR_DB = (-50.0, 90.0)
@@ -89,8 +95,9 @@ class ExperimentConfig:
         _check_routes(self.scenario, "scenario")
         for value in self.grid:
             _check_routes(_point_scenario(self, value), f"{self.axis} grid value {value!r}")
-        if self.horizon < MIN_DELAY_HORIZON:
-            raise ConfigValidationError(f"horizon must be >= {MIN_DELAY_HORIZON}")
+        if not MIN_DELAY_HORIZON <= self.horizon <= _MAX_HORIZON:
+            raise ConfigValidationError(
+                f"horizon must be >= {MIN_DELAY_HORIZON} and <= {_MAX_HORIZON}")
         if self.workers < 1:
             raise ConfigValidationError("workers must be >= 1")
         if self.seed < 0:

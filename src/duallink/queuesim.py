@@ -19,8 +19,8 @@ from .link import ScenarioParams, sample_blockage_batch
 
 # Shortest trace whose delay estimate is reported.
 MIN_DELAY_HORIZON = 1000
-# Slots per block of the queue recursion, which bounds its temporaries to
-# about 0.3 MB; 8192 slots take a fifth less time and twice the memory.
+# Most slots per window of the queue recursion, which keeps its temporaries
+# near 0.3 MB; 8192-slot windows take a fifth less time and twice the memory.
 _LEVEL_BLOCK = 4096
 
 
@@ -99,32 +99,28 @@ def _levels(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     loop that compares and branches:
     q_t = (q_{t-1} - s_t if q_{t-1} > s_t else 0.0) + a_t.
 
-    It runs a block of slots at a time, with the level carried across
-    blocks.  Each block is filled by busy periods (_fill_busy_periods), then
+    It runs a window of up to _LEVEL_BLOCK slots at a time from the carried
+    level.  Each window is filled by busy periods (_fill_busy_periods), then
     checked against one vectorised step of the loop from the level before
-    it, bit for bit.  When every slot passes, every slot holds the loop's
-    value, by induction from the carried level.  At the first slot that
-    fails, the check's value is the loop's, so the block is filled again
-    from there.
+    each slot, bit for bit.  The window ends at its last slot, or at the
+    first slot that fails the check: every slot before it holds the loop's
+    value, by induction from the carried level, so the check's value there
+    is the loop's too, and it is the next window's carried level.
     """
     q = np.empty(len(s))
     level = 0.0
-    for lo in range(0, len(s), _LEVEL_BLOCK):
+    lo = 0
+    while lo < len(s):
         hi = lo + _LEVEL_BLOCK
-        s_b, a_b, q_b = s[lo:hi], a[lo:hi].astype(np.float64), q[lo:hi]
-        t = 0
-        while t < len(q_b):
-            _fill_busy_periods(s_b[t:], a_b[t:], level, q_b[t:])
-            prev = np.concatenate(([level], q_b[t:-1]))
-            want = np.where(prev > s_b[t:], prev - s_b[t:], 0.0)
-            want += a_b[t:]
-            wrong = np.flatnonzero(want.view(np.int64) != q_b[t:].view(np.int64))
-            if len(wrong) == 0:
-                break
-            t += wrong[0]
-            q_b[t] = level = want[wrong[0]]
-            t += 1
-        level = q_b[-1]
+        s_w, a_w, q_w = s[lo:hi], a[lo:hi].astype(np.float64), q[lo:hi]
+        _fill_busy_periods(s_w, a_w, level, q_w)
+        prev = np.concatenate(([level], q_w[:-1]))
+        want = np.where(prev > s_w, prev - s_w, 0.0)
+        want += a_w
+        wrong = np.flatnonzero(want.view(np.int64) != q_w.view(np.int64))
+        end = wrong[0] if len(wrong) else len(q_w) - 1
+        q_w[end] = level = want[end]
+        lo += end + 1
     return q
 
 
@@ -133,19 +129,16 @@ def _busy_period_starts(s: np.ndarray, a: np.ndarray, level: float) -> np.ndarra
     The slots where the queue, at `level` before the first, empties before
     its arrivals (level <= s_t), by the Lindley prefix-minimum form.  With
     D_t = (level - s_0) + sum over 1..t of (a_{i-1} - s_i), slot t empties
-    when D_t is at most min(0, D_0, ..., D_{t-1}).  The sums round apart from
-    the loop's, so near a tie the answer can be wrong; the caller's check
-    catches that.
+    when D_t is at most floor_t = min(0, D_0, ..., D_{t-1}).  The sums round
+    apart from the loop's, so near a tie the answer can be wrong; the
+    caller's check catches that.
     """
-    drift = np.empty(len(s))
-    drift[0] = level - s[0]
-    np.subtract(a[:-1], s[1:], out=drift[1:])
+    drift = np.empty(len(s) + 1)  # [0, D_0, D_1, ...]
+    drift[:2] = 0.0, level - s[0]
+    np.subtract(a[:-1], s[1:], out=drift[2:])
     np.cumsum(drift, out=drift)
     floor = np.minimum.accumulate(drift)
-    empties = np.empty(len(s), dtype=bool)
-    empties[0] = drift[0] <= 0.0
-    np.less_equal(drift[1:], np.minimum(floor[:-1], 0.0), out=empties[1:])
-    return np.flatnonzero(empties)
+    return np.flatnonzero(drift[1:] <= floor[:-1])
 
 
 def _fill_busy_periods(s: np.ndarray, a: np.ndarray, level: float, q: np.ndarray) -> None:
@@ -154,23 +147,20 @@ def _fill_busy_periods(s: np.ndarray, a: np.ndarray, level: float, q: np.ndarray
     empties exactly at _busy_period_starts.
 
     A period starts at a slot t that empties, q_t = a_t, or at the carried
-    level; after that the loop does only (level - s) + a.  np.cumsum adds
-    in sequence, and x + (-s) is x - s in IEEE arithmetic, so one cumsum
-    over [start, -s, a, -s, a, ...] gives the loop's bits.  The periods are
+    level, seeded as period -1 (with no steps when slot 0 empties); after
+    that the loop does only (level - s) + a.  np.cumsum adds in sequence,
+    and x + (-s) is x - s in IEEE arithmetic, so one cumsum over
+    [start, -s, a, -s, a, ...] gives the loop's bits.  The periods are
     grouped by length up to the next power of two, and each group is one
     cumsum along the rows of a matrix, a period per row: so short periods
     advance by position all at once, and a long one is a single row.  A
     shorter row runs on into the slots after its period, which change no
     sum before them and are not kept; they at most double a group.
     """
-    n = len(s)
     starts = _busy_period_starts(s, a, level)
     q[starts] = a[starts]
-    if len(starts) and starts[0] == 0:
-        first, seed = starts, a[starts]
-    else:
-        first, seed = np.append(-1, starts), np.append(level, a[starts])
-    steps = np.diff(first, append=n) - 1  # slots of each period after its start
+    first, seed = np.append(-1, starts), np.append(level, a[starts])
+    steps = np.diff(first, append=len(s)) - 1  # slots of each period after its start
     busy = np.flatnonzero(steps)
     group = np.frexp(steps[busy] - 1.0)[1]  # steps up to 2**group
     for g in np.unique(group):
@@ -191,7 +181,7 @@ def mean_delay(
     trace: QueueTrace,
     alpha: float,
     arrival: float,
-    slot_duration: float | None = None,
+    slot_duration: float,
 ) -> DelayStats:
     """
     Delay statistics from the trace via Little's law.
@@ -217,8 +207,8 @@ def mean_delay(
     return DelayStats(
         tau_h_slots=tau_h,
         tau_l_slots=tau_l,
-        tau_h_seconds=None if (tau_h is None or slot_duration is None) else tau_h * slot_duration,
-        tau_l_seconds=None if (tau_l is None or slot_duration is None) else tau_l * slot_duration,
+        tau_h_seconds=None if tau_h is None else tau_h * slot_duration,
+        tau_l_seconds=None if tau_l is None else tau_l * slot_duration,
         tau_total_slots=tau_total,
         mean_q_h=mean_q_h,
         mean_q_l=mean_q_l,

@@ -538,6 +538,16 @@ def test_capacity_allocation_balances_gaps_at_a_star(scenario):
     assert max(abs(gap_h), abs(gap_l)) <= 1e-6 * res.objective
 
 
+def test_capacity_gaps_are_the_closed_form_at_a_star():
+    # The capacity run's gaps at a* are its gaps at zero arrivals less each
+    # class's share of a*: objective_for_powers' at a*, bit for bit.
+    config = experiments.default_config()
+    for alpha in config.grid:
+        res = capacity_allocation(config.scenario, alpha)
+        gaps = objective_for_powers(res.power, config.scenario, alpha, res.objective)[2:4]
+        assert list(map(float.hex, (res.gap_h, res.gap_l))) == list(map(float.hex, gaps)), alpha
+
+
 def _far_reflector():
     # Longer reflector elements make the reflected LC beam the stronger one.
     base = ScenarioParams()

@@ -19,7 +19,7 @@ EXTREMES = {
     "q_r": ["0.0", "0.3"],
     "alpha": ["0.0", "1e-30", "1e-31", "1e-12", "0.9999", "1.0"],
     "arrival_rate": ["0", "1e-3", "1e6", "1e120", "1.1e120", "1e150"],
-    "slot_duration": ["1e-12", "9.9e116", "1.1e117"],  # service factors 1e-5 to 1.1e120
+    "slot_duration": ["1e-12", "9.9e114", "1.1e115"],  # service factors 1e-5 to 1.1e118
     "grid": ["0.0, 1e-30", "0.0, 1e-31", "0.5, 0.9999", "1e-12, 1.0"],
 }
 COMMANDS = [["solve"], ["simulate"], ["sweep"], ["oracle", "--grid-n", "11"]]

@@ -637,6 +637,22 @@ def test_cli_simulate_rejects_short_horizon(tmp_path, monkeypatch, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command, text", [
+    pytest.param("simulate", "", id="simulate"),
+    pytest.param("sweep", "metrics = delay\n", id="delay-sweep"),
+])
+def test_horizon_above_the_limit_fails_at_load(tmp_path, capsys, command, text):
+    # A horizon whose arrays would not fit in memory fails at load, before
+    # anything is allocated: exit 2 and one error line, not a MemoryError.
+    cfg = write(tmp_path, "long.cfg", f"{text}horizon = 1000000000000000\n")
+    with pytest.raises(ConfigValidationError, match="^horizon must be >= 1000 and <= 100000000$"):
+        load_config(cfg)
+    out = str(tmp_path / "out.csv")
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr() == ("", "error: horizon must be >= 1000 and <= 100000000\n")
+    assert not os.path.exists(out)
+
+
 def test_cli_simulate_opens_the_trace_before_solving(tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("the allocator ran")
@@ -744,7 +760,7 @@ def test_cli_rejects_traffic_the_kernel_cannot_hold(tmp_path, capsys, command, t
     *[pytest.param("noise_psd = -20\n", command, f"scenario: {OUT_OF_WINDOW}",
                    id=f"low-snr-{command}") for command in ("solve", "simulate", "oracle")],
     pytest.param("slot_duration = 1e300\n", "solve",
-                 "slot_duration * bandwidth / packet_size must be at most 1e+120",
+                 "slot_duration * bandwidth / packet_size must be at most 1e+118",
                  id="long-slot-solve"),
 ])
 def test_cli_reports_solver_failures(tmp_path, capsys, text, command, error):
@@ -757,6 +773,25 @@ def test_cli_reports_solver_failures(tmp_path, capsys, text, command, error):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {error}") and captured.err.count("\n") == 1
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("", id="default"),
+    pytest.param("noise_psd = -223.9\n", id="direct-snr-90-db"),
+])
+def test_sweep_at_the_largest_service_factor_writes_ok_rows(tmp_path, capsys, text):
+    # a* reaches several times the service factor, and a sweep checks the
+    # time-sharing a* as an arrival rate: up to the largest factor the config
+    # accepts, it stays within the arrival limit, so no row is an error.
+    sc = ScenarioParams()
+    slot = 0.99 * experiments._MAX_SERVICE_FACTOR * sc.packet_size / sc.bandwidth
+    cfg = write(tmp_path, "slot.cfg", f"{text}slot_duration = {slot!r}\n")
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    rows = read_rows(out)
+    assert [(row.scheme, row.status) for row in rows] == [
+        (scheme, "ok") for _ in default_config().grid for scheme in ("mcsc", "oma")]
+    assert max(row.a_star for row in rows) > 5.0 * experiments._MAX_SERVICE_FACTOR
 
 
 def test_singular_newton_systems_become_solver_failures(tmp_path, monkeypatch, capsys):

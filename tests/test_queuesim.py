@@ -249,37 +249,84 @@ def _recursion_case(kind: str, slots: int) -> tuple[np.ndarray, np.ndarray]:
 _CASES = ("ties", "blocked", "never-empty", "fractional")
 
 
+def _windows(monkeypatch, wrong_at=None, wrong=None):
+    """
+    Record each window that _levels fills, as (its first slot, its values
+    as filled), with the start detector's answer for window number
+    `wrong_at` passed through `wrong`.
+    """
+    windows = []
+    starts, fill = queuesim._busy_period_starts, queuesim._fill_busy_periods
+
+    def detector(s, a, level):
+        right = starts(s, a, level)
+        return wrong(right) if len(windows) == wrong_at else right
+
+    def recorded(s, a, level, q):
+        fill(s, a, level, q)
+        windows.append(((q.ctypes.data - q.base.ctypes.data) // q.itemsize, q.copy()))
+
+    monkeypatch.setattr(queuesim, "_busy_period_starts", detector)
+    monkeypatch.setattr(queuesim, "_fill_busy_periods", recorded)
+    return windows
+
+
+def _wrong_slots(filled: np.ndarray, ref: np.ndarray) -> list[int]:
+    return np.flatnonzero(filled.view(np.int64) != ref.view(np.int64)).tolist()
+
+
 @pytest.mark.parametrize("kind", _CASES)
 def test_levels_repair_a_wrong_start_detector(monkeypatch, kind):
     # The recursion gives the loop's bits on ties (level == s_t), a blocked
-    # queue, one that never empties and fractional service, across a block
+    # queue, one that never empties and fractional service, across a window
     # edge, even from a wrong start detector: the bit check finds the first
-    # slot it gets wrong, and the block is filled again from there.  Here
-    # the detector's first answer misses the first start and makes slot 1
-    # one.
-    starts = queuesim._busy_period_starts
-    fills = []
-    fill = queuesim._fill_busy_periods
-
-    def wrong_once(s, a, level):
-        right = starts(s, a, level)
-        return right if fills[1:] else np.union1d(right[1:], [1])
-
-    def counted(s, a, level, q):
-        fills.append(len(s))
-        fill(s, a, level, q)
-
-    monkeypatch.setattr(queuesim, "_busy_period_starts", wrong_once)
-    monkeypatch.setattr(queuesim, "_fill_busy_periods", counted)
+    # slot it gets wrong, which ends the window, and the next window starts
+    # one slot after it.  Here the detector's first answer misses the first
+    # start and makes slot 1 one.
+    windows = _windows(monkeypatch, 0, lambda right: np.union1d(right[1:], [1]))
     s, a = _recursion_case(kind, _LEVEL_BLOCK + 300)
     q = queuesim._levels(s, a)
-    assert q.tobytes() == _loop_levels(s, a).tobytes()
-    assert len(fills) == 3  # two blocks, one of them filled again
-    assert fills[1] < _LEVEL_BLOCK
+    ref = _loop_levels(s, a)
+    assert q.tobytes() == ref.tobytes()
+    bad = _wrong_slots(windows[0][1], ref[:_LEVEL_BLOCK])[0]
+    assert bad <= 1
+    assert [start for start, _ in windows] == [0, bad + 1, bad + 1 + _LEVEL_BLOCK]
     if kind == "ties":
         assert (q[:-1] == s[1:]).sum() > 10  # level - s_t is exactly 0.0
     if kind in ("blocked", "never-empty"):
         assert q.min() > 0.0
+
+
+# Window edges, on a queue whose slot _LEVEL_BLOCK alone empties after slot
+# 0: the second window's first slot empties from a positive carried level,
+# so the detector seeds that level as a period with no steps; a detector
+# that misses that start, repaired at the window's first slot; and one that
+# makes the first window's last slot a start, repaired there.  Each maps to
+# the window whose detector answer goes wrong and how, the first slot of
+# each window, and the slots that the fill got wrong.
+_EDGES = {
+    "first-slot-empties": (None, None, [0, _LEVEL_BLOCK], []),
+    "repair-at-first-slot": (1, lambda right: right[1:], [0, _LEVEL_BLOCK, _LEVEL_BLOCK + 1],
+                             [_LEVEL_BLOCK]),
+    "repair-at-last-slot": (0, lambda right: np.union1d(right, [_LEVEL_BLOCK - 1]),
+                            [0, _LEVEL_BLOCK], [_LEVEL_BLOCK - 1]),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(_EDGES))
+def test_levels_window_edges(monkeypatch, edge):
+    wrong_at, wrong, starts, wrong_slots = _EDGES[edge]
+    windows = _windows(monkeypatch, wrong_at, wrong)
+    s, a = _recursion_case("never-empty", _LEVEL_BLOCK + 300)
+    s[_LEVEL_BLOCK] = 1e9
+    ref = _loop_levels(s, a)
+    assert (ref[:-1] > s[1:]).sum() == len(s) - 2  # only slot _LEVEL_BLOCK empties
+    assert ref[_LEVEL_BLOCK - 1] > 0.0 and ref[_LEVEL_BLOCK] == a[_LEVEL_BLOCK]
+    q = queuesim._levels(s, a)
+    assert q.tobytes() == ref.tobytes()
+    assert [lo for lo, _ in windows] == starts
+    assert [lo + t for lo, filled in windows
+            for t in _wrong_slots(filled, ref[lo:lo + len(filled)])[:1]] == wrong_slots
 
 
 def test_levels_memory_budget():
