@@ -44,12 +44,14 @@ TRACE_OUT = "trace.csv"
 # The trace CSV's columns after the slot index, as QueueTrace field names.
 _TRACE_COLUMNS = ("a_h", "a_l", "beta_d", "beta_r", "s_h", "s_l", "q_h", "q_l")
 # Trace rows per write.  On the default 100,000-slot trace the writer peaks
-# at 0.72 MB of traced memory (0.36 MB at 1024 rows, 1.4 MB at 4096); 4096
-# rows write 7% faster, and 1024 rows 20% slower.
+# at 0.44 MB of traced memory (0.23 MB at 1024 rows, 0.85 MB at 4096); 4096
+# rows write no faster, and 1024 rows a third slower.
 _TRACE_ROWS_PER_WRITE = 2048
 # Distinct floats in a column block above which numpy generates their digits;
-# below it, str is cheaper.
-_SHORTEST_MIN_DISTINCT = 128
+# below it, str is cheaper.  On queue levels, str takes 0.6 to 0.8 us a value
+# and _shortest_cells about 0.2 ms a block, up to some 400 values: they
+# cross near 250.
+_SHORTEST_MIN_DISTINCT = 256
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -209,15 +211,23 @@ def _cells(col: np.ndarray) -> np.ndarray:
 
 
 def _digit_cells(col: np.ndarray) -> np.ndarray:
-    """Non-negative integers as text, right-aligned in zero-padded rows."""
-    text = np.empty((len(str(col.max())), len(col)), dtype=np.uint8)  # a row per digit
-    rest, digit = np.divmod(col, 10)
-    text[-1] = digit + ord("0")
+    """
+    Non-negative integers as text, right-aligned in zero-padded rows.  Each
+    digit is cut with // 10, which numpy divides by a constant without a
+    division instruction (libdivide), on a uint32 copy when the values fit.
+    """
+    top = int(col.max())
+    text = np.empty((len(str(top)), len(col)), dtype=np.uint8)  # a row per digit
+    rest = col.astype(np.uint32) if top < 2**32 else col
+    quot = rest // 10
+    np.subtract(rest, quot * 10, out=text[-1], casting="unsafe")
+    text[-1] += ord("0")
     for row in text[-2::-1]:  # a leading zero is no byte
-        more = rest > 0
-        rest, digit = np.divmod(rest, 10)
-        np.add(digit, ord("0"), out=row, casting="unsafe")
-        row *= more
+        rest = quot
+        quot = rest // 10
+        np.subtract(rest, quot * 10, out=row, casting="unsafe")
+        row += ord("0")
+        row *= rest > 0
     return text.T
 
 
@@ -239,12 +249,21 @@ def _shortest_cells(bits: np.ndarray) -> np.ndarray:
     2**k) and half an ulp as margin M = 1.  Each step multiplies r and M by
     10 and takes the next digit u = r // S, leaving r mod S.  The digits so
     far round-trip when r < M (low) or r + M > S (high), each end counting
-    too when m is even (round-half-even parses the interval's ends to x).
-    Either way, the last digit is u + 1 when 2r > S: on low alone 2r < S,
-    and on high alone 2r > S.  Since r < S, low holds once 10**steps
-    reaches S.  The free-format output is str's shortest round trip, but
-    for a tie (2r == S, whose even pick this leaves to str) or a carry out
-    of the digit (u + 1 == 10); those, and every other x, go through str.
+    too when m is even (round-half-even parses the interval's ends to x):
+    low is r < even + M and high is S - r < even + M, so the two make one
+    test, |r - S/2| > (S/2 - even) - M.  Either way, the last digit is u + 1
+    when 2r > S: on low alone 2r < S, and on high alone 2r > S.  The
+    free-format output is str's shortest round trip, but for a tie (2r == S,
+    whose even pick this leaves to str) or a carry out of the digit (u + 1
+    == 10); those, and every other x, go through str.
+
+    The test, once true, stays true, so the last digit of a lane is on the
+    first row where it holds.  Low: r < even + M gives 10r mod S <= 10r <
+    even + 10M (for even = 1, r <= M and 10r <= 10M).  High is the mirror
+    case with S - r, which the step takes to 10 (S - r) mod S: that is 10
+    (S - r) itself where 10 (S - r) < S, and where 10 (S - r) >= S the next
+    r is below S <= 10 (S - r) < even + 10M, so low holds.  Since r < S,
+    low holds once 10**steps reaches S, so by the last row.
     """
     k = 1075 - (bits >> 52)  # negative bits, and so -0.0, give k > 1075
     lanes = np.flatnonzero((k >= 1) & (k <= 52))
@@ -256,29 +275,37 @@ def _shortest_cells(bits: np.ndarray) -> np.ndarray:
     scale = np.left_shift(1, shift)
     rest = scale - 1
     half = scale >> 1
-    even = 1 - (m & 1)
-    top = scale - even
+    room = half - (1 - (m & 1))  # S/2 - even
     steps = math.ceil(int(shift.max()) * math.log10(2)) + 1
     digits = np.empty((steps, len(lanes)), dtype=np.uint8)
     stop = np.empty((steps, len(lanes)), dtype=bool)
     above = np.empty_like(stop)  # 2r > S
     tie = np.empty_like(stop)  # 2r == S
     r = (m & (half - 1)) << 1
+    off = np.empty_like(r)  # r - S/2, then |r - S/2| + M
     margin = 1
     for row in range(steps):
         r *= 10
         margin *= 10
         np.right_shift(r, shift, out=digits[row], casting="unsafe")
         r &= rest
-        np.logical_or(r < even + margin, r > top - margin, out=stop[row])
-        np.greater(r, half, out=above[row])
-        np.equal(r, half, out=tie[row])
-    last = stop.argmax(axis=0)
-    at = last, np.arange(len(lanes))
-    digits[at] += above[at]
-    exact = (digits[at] < 10) & ~tie[at]
+        np.subtract(r, half, out=off)
+        np.greater(off, 0, out=above[row])
+        np.equal(off, 0, out=tie[row])
+        np.abs(off, out=off)
+        off += margin
+        np.greater(off, room, out=stop[row])
+    first = np.empty_like(stop)  # the first row that stops, the last digit
+    first[0] = stop[0]
+    np.greater(stop[1:], stop[:-1], out=first[1:])
+    above &= first
+    digits += above
+    tie &= first
+    tie |= digits == 10
+    exact = ~tie.any(axis=0)
     digits += ord("0")
-    digits[np.arange(steps)[:, None] > last] = 0  # digits past the last are no bytes
+    np.logical_not(stop, out=stop)
+    digits[1:] *= stop[:-1]  # digits past the last are no bytes
     fast = np.concatenate(
         [_digit_cells(m >> k), np.full((len(lanes), 1), ord("."), dtype=np.uint8), digits.T],
         axis=1)

@@ -1,12 +1,13 @@
 """Trace writer: numpy digit generation against str, and its memory budget."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from duallink import ScenarioParams, run_simulation
-from duallink.cli import _shortest_cells, _write_trace
+from duallink.cli import _digit_cells, _shortest_cells, _write_trace
 
 # Values whose text is easy to get wrong: signed zeros, non-finite values,
 # the smallest subnormal, the ends of the numpy path's range (1 and 2**52),
@@ -50,6 +51,45 @@ def test_shortest_cells_match_str():
             bad = next(i for i, (g, w) in enumerate(zip(got.splitlines(), want.splitlines()))
                        if g != w)
             pytest.fail(f"{chunk[bad]!r}: got {got.splitlines()[bad]!r}")
+
+
+def test_stop_test_is_monotone():
+    # _shortest_cells takes each lane's last digit from the first row where
+    # the two-sided stop test holds: in exact integers, once true it stays
+    # true, it holds by the loop's last row, and it is the one comparison
+    # |r - S/2| > (S/2 - even) - M.
+    values = np.random.default_rng(1618).choice(_doubles(np.random.default_rng(2718)), 50_000)
+    bits = values.view(np.int64)
+    k = 1075 - (bits >> 52)
+    inside = (k >= 1) & (k <= 52)
+    assert inside.sum() > 25_000
+    for x, b, k in zip(values[inside].tolist(), bits[inside].tolist(), k[inside].tolist()):
+        m = b & (2**52 - 1) | 2**52
+        scale = 2 ** (k + 1)
+        even = 1 - (m & 1)
+        r, margin = 2 * (m % 2**k), 1
+        held = []
+        for _ in range(math.ceil((k + 1) * math.log10(2)) + 1):
+            r, margin = 10 * r % scale, 10 * margin
+            stop = r < even + margin or scale - r < even + margin
+            assert stop == (abs(r - scale // 2) > scale // 2 - even - margin), x
+            held.append(stop)
+        assert held[-1] and held == sorted(held), x
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8])
+def test_digit_cells_match_str(dtype):
+    # Integer columns on both sides of the uint32 copy: each column's
+    # maximum is the next of these values, so the cut runs in uint32 up to
+    # 2**32 - 1 and in int64 from 2**32 on.
+    values = [0, 9, 10, 99_999, 100_000, 2**32 - 1, 2**32, 2**53, 2**63 - 1]
+    if dtype == np.int8:
+        values = [0, 1]
+    for top in range(len(values)):
+        col = np.array(values[:top + 1] * 3, dtype=dtype)
+        text = _digit_cells(col)
+        got = [bytes(row[row != 0]).decode() for row in text]
+        assert got == list(map(str, col.tolist())), values[top]
 
 
 class _Discard:
