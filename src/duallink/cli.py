@@ -16,6 +16,7 @@ import os
 import stat
 import sys
 from dataclasses import replace
+from itertools import groupby
 from typing import BinaryIO
 
 import numpy as np
@@ -43,14 +44,19 @@ _MAX_GRID_N = 1001
 TRACE_OUT = "trace.csv"
 # The trace CSV's columns after the slot index, as QueueTrace field names.
 _TRACE_COLUMNS = ("a_h", "a_l", "beta_d", "beta_r", "s_h", "s_l", "q_h", "q_l")
-# Trace rows per write.  On the default 100,000-slot trace the writer peaks
-# at 0.44 MB of traced memory (0.23 MB at 1024 rows, 0.85 MB at 4096); 4096
-# rows write no faster, and 1024 rows a third slower.
+# Trace rows per write.  With 4096-row batches, 1024-row writes are 3%
+# slower and 4096-row writes 2% faster, but peak at 1.5 MB of traced memory.
 _TRACE_ROWS_PER_WRITE = 2048
-# Distinct floats in a column block above which numpy generates their digits;
-# below it, str is cheaper.  On queue levels, str takes 0.6 to 0.8 us a value
-# and _shortest_cells about 0.2 ms a block, up to some 400 values: they
-# cross near 250.
+# Trace rows per batch of writes, over which each float column's text table
+# is built once.  On the benchmark's four seed-1 simulate-trace traces the
+# writer peaks at 0.82 to 0.86 MB of traced memory (0.71 to 0.73 MB with a
+# table per 2048-row block); a table per 2048-row batch writes 21% slower,
+# and 8192-row batches write 7% faster but peak at 1.4 to 1.6 MB.
+_TRACE_ROWS_PER_BATCH = 4096
+# Distinct floats in a column's batch above which numpy generates their
+# digits; below it, str is cheaper.  On queue levels, str takes 0.6 to 0.8 us
+# a value and _shortest_cells about 0.2 ms a call, up to some 400 values:
+# they cross near 250.
 _SHORTEST_MIN_DISTINCT = 256
 
 
@@ -169,45 +175,102 @@ def _run_simulate(config) -> None:
 def _write_trace(fh: BinaryIO, trace: QueueTrace) -> None:
     """
     Write the trace to a binary file as CSV, one row per slot, floats at
-    full precision.  A block of rows is one byte matrix: the columns'
+    full precision.  A block of rows is one byte matrix: the fields'
     zero-padded cells with comma and newline columns between them, written
-    without its zero bytes.
+    without its zero bytes.  The fields are found once per trace and their
+    text tables built once per batch of blocks.
     """
-    columns = [getattr(trace, name) for name in _TRACE_COLUMNS]
     fh.write(",".join(("slot", *_TRACE_COLUMNS)).encode() + b"\n")
-    for lo in range(0, len(trace), _TRACE_ROWS_PER_WRITE):
-        hi = min(lo + _TRACE_ROWS_PER_WRITE, len(trace))
-        fh.write(_rows(np.arange(lo, hi), [col[lo:hi] for col in columns]))
+    fields = _fields([getattr(trace, name) for name in _TRACE_COLUMNS])
+    for lo in range(0, len(trace), _TRACE_ROWS_PER_BATCH):
+        _write_batch(fh, fields, lo, min(lo + _TRACE_ROWS_PER_BATCH, len(trace)))
 
 
-def _rows(slots: np.ndarray, columns: list[np.ndarray]) -> np.ndarray:
+def _fields(columns: list[np.ndarray]) -> list:
     """
-    CSV rows of the slots and columns, as bytes.  A function of its own, so
-    that a block's temporaries are freed before the next block is built.
+    The columns as the writer's fields, found once per trace.  A run of
+    adjacent columns that hold at most two values each is one joint field
+    (keys, tops, table): its cell is the table row at the code
+    sum((keys[i] == tops[i]) << i), the columns' str texts joined by commas.
+    The trace has eight columns, so a code fits in uint8.  Any other column
+    is a field of its own.
     """
-    cells = [_cells(slots), *map(_cells, columns)]
-    comma = np.full((len(slots), 1), ord(","), dtype=np.uint8)
+    fields = []
+    for joint, run in groupby(zip(columns, map(_two_values, columns)),
+                              key=lambda pair: pair[1] is not None):
+        if not joint:
+            fields += [col for col, _ in run]
+            continue
+        keys, tops, texts = zip(*(two for _, two in run))
+        table = _text_cells([",".join(text[code >> i & 1] for i, text in enumerate(texts))
+                             for code in range(1 << len(keys))])
+        fields.append((keys, tops, table))
+    return fields
+
+
+def _two_values(col: np.ndarray) -> tuple | None:
+    """
+    (keys, top, texts) if the column holds at most two values, floats by
+    their bits (-0.0 is not 0.0): the column as compared, its larger key,
+    and the str texts of its smaller and larger value.  None otherwise.
+    """
+    keys = col.view(np.int64) if col.dtype == np.float64 else col
+    low, top = keys.min(), keys.max()
+    if not ((keys == low) | (keys == top)).all():
+        return None
+    return keys, top, list(map(str, np.array([low, top], keys.dtype).view(col.dtype).tolist()))
+
+
+def _write_batch(fh: BinaryIO, fields: list, lo: int, hi: int) -> None:
+    """
+    Write rows lo to hi, a block at a time, from each field's text table
+    and index for the batch: a function of its own, so that a batch's
+    tables are freed before the next batch's are built.
+    """
+    sources = [(None, np.arange(lo, hi)), *(_source(field, lo, hi) for field in fields)]
+    for start in range(0, hi - lo, _TRACE_ROWS_PER_WRITE):
+        fh.write(_rows(sources, slice(start, start + _TRACE_ROWS_PER_WRITE)))
+
+
+def _source(field, lo: int, hi: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """
+    The field's (table, index) over rows lo to hi; a cell is table[index].
+    A joint field indexes its trace-wide table by code.  A column of
+    non-negative integers has no table: its values are cut into digits per
+    block.  Any other column has a table of its distinct values (floats by
+    their bits), as str gives them; above _SHORTEST_MIN_DISTINCT distinct
+    floats, numpy generates their digits (_shortest_cells), and below it,
+    str is cheaper.
+    """
+    if isinstance(field, tuple):
+        keys, tops, table = field
+        code = np.zeros(hi - lo, dtype=np.uint8)
+        for i, (col, top) in enumerate(zip(keys, tops)):
+            code += (col[lo:hi] == top) * np.uint8(1 << i)
+        return table, code
+    col = field[lo:hi]
+    if col.dtype.kind == "i" and col.min() >= 0:
+        return None, col
+    floats = col.dtype == np.float64
+    keys, index = np.unique(col.view(np.int64) if floats else col, return_inverse=True)
+    index = index.astype(np.uint16)  # a batch has fewer rows than 2**16
+    if floats and len(keys) > _SHORTEST_MIN_DISTINCT:
+        return _shortest_cells(keys), index
+    return _str_cells(keys.view(col.dtype)), index
+
+
+def _rows(sources: list, rows: slice) -> np.ndarray:
+    """
+    CSV rows of a block, as bytes.  A function of its own, so that a
+    block's temporaries are freed before the next block is built.
+    """
+    cells = [_digit_cells(index[rows]) if table is None else table.take(index[rows], axis=0)
+             for table, index in sources]
+    comma = np.full((len(cells[0]), 1), ord(","), dtype=np.uint8)
     parts = [part for cell in cells for part in (cell, comma)]
     parts[-1] = np.full_like(comma, ord("\n"))
     block = np.concatenate(parts, axis=1)
     return block[block != 0]
-
-
-def _cells(col: np.ndarray) -> np.ndarray:
-    """
-    The column's values as ASCII text, one zero-padded uint8 row each:
-    non-negative integers cut into digits by arithmetic, other values as
-    str gives them, each distinct value once and floats by their bits (-0.0
-    is not 0.0).  Above _SHORTEST_MIN_DISTINCT distinct floats, numpy
-    generates their digits (_shortest_cells); below it, str is cheaper.
-    """
-    if col.dtype.kind == "i" and col.min() >= 0:
-        return _digit_cells(col)
-    floats = col.dtype == np.float64
-    keys, index = np.unique(col.view(np.int64) if floats else col, return_inverse=True)
-    if floats and len(keys) > _SHORTEST_MIN_DISTINCT:
-        return _shortest_cells(keys).take(index, axis=0)
-    return _str_cells(keys.view(col.dtype)).take(index, axis=0)
 
 
 def _digit_cells(col: np.ndarray) -> np.ndarray:
@@ -233,7 +296,12 @@ def _digit_cells(col: np.ndarray) -> np.ndarray:
 
 def _str_cells(values: np.ndarray) -> np.ndarray:
     """Values as str gives them, left-aligned in zero-padded rows."""
-    text = np.array(list(map(str, values.tolist())), dtype=np.bytes_)
+    return _text_cells(list(map(str, values.tolist())))
+
+
+def _text_cells(texts: list[str]) -> np.ndarray:
+    """ASCII texts left-aligned in zero-padded rows."""
+    text = np.array(texts, dtype=np.bytes_)
     return text.view(np.uint8).reshape(len(text), -1)
 
 
@@ -276,7 +344,7 @@ def _shortest_cells(bits: np.ndarray) -> np.ndarray:
     rest = scale - 1
     half = scale >> 1
     room = half - (1 - (m & 1))  # S/2 - even
-    steps = math.ceil(int(shift.max()) * math.log10(2)) + 1
+    steps = math.ceil(int(shift.max()) * math.log10(2))
     digits = np.empty((steps, len(lanes)), dtype=np.uint8)
     stop = np.empty((steps, len(lanes)), dtype=bool)
     above = np.empty_like(stop)  # 2r > S

@@ -23,7 +23,7 @@ from duallink import (
     run_sweep,
     spectral_efficiency,
 )
-from duallink.cli import _TRACE_ROWS_PER_WRITE, _write_trace, main
+from duallink.cli import _TRACE_ROWS_PER_BATCH, _TRACE_ROWS_PER_WRITE, _write_trace, main
 from duallink import experiments
 from duallink.experiments import CSV_HEADER, default_config, write_rows
 from duallink.oma import oma_optimize
@@ -585,6 +585,15 @@ def _synthetic_trace(kind: str, slots: int) -> QueueTrace:
         unsigned = np.resize(_INT_EDGES, slots).astype(np.uint32)
         return QueueTrace(a_h, a_l, floats[0], floats[1], negative, unsigned,
                           floats[2], floats[3])
+    if kind == "joint":
+        # Coupled 0/1 routes and the floats they gate, as in a real trace;
+        # a constant column; a 0.0/-0.0 pair; and a_l, three values between
+        # two-valued columns, which a joint cell must not take in.
+        u = rng.random(slots)
+        beta_d, beta_r = (u >= 0.3).astype(np.int8), (u >= 0.1).astype(np.int8)
+        zeros = np.where(rng.random(slots) < 0.5, 0.0, -0.0)
+        return QueueTrace(np.full(slots, 7), rng.integers(0, 3, slots), beta_r * 297.54053200772296,
+                          beta_d * (1.0 / 3.0), beta_d, beta_r, zeros, rng.random(slots) * 1e4)
     if kind == "random":
         floats = rng.random((4, slots)) * 10.0 ** rng.integers(-20, 20, (4, slots))
         floats[:, :3] = [0.0, 1e-300, 2.5][:slots]
@@ -608,7 +617,9 @@ def test_trace_writer_matches_csv_module(tmp_path):
     cases = [(kind, slots) for kind in ("random", "runs", "edges")
              for slots in (1, _TRACE_ROWS_PER_WRITE - 1, _TRACE_ROWS_PER_WRITE,
                            _TRACE_ROWS_PER_WRITE + 1, 10_000)]
-    for kind, slots in [*cases, ("edges", 100_001)]:
+    joint = [("joint", slots) for slots in (1, _TRACE_ROWS_PER_BATCH - 1, _TRACE_ROWS_PER_BATCH,
+                                            _TRACE_ROWS_PER_BATCH + 1, 10_000)]
+    for kind, slots in [*cases, ("edges", 100_001), *joint]:
         trace = _synthetic_trace(kind, slots)
         fast = tmp_path / "fast.csv"
         with open(fast, "wb") as fh:
